@@ -2,8 +2,8 @@
  * @file
  * google-benchmark micro-kernels for the hot paths of the LADDER
  * stack: content counting, counter packing/estimation, FNW, timing
- * table lookups, the fast circuit model, the metadata cache and the
- * FPC compressor.
+ * table lookups, the fast circuit model and the timing-model build, the
+ * metadata cache and the FPC compressor.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +13,7 @@
 
 #include "circuit/fastmodel.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "ctrl/controller.hh"
 #include "ctrl/fnw.hh"
 #include "ctrl/metadata_cache.hh"
@@ -194,6 +195,26 @@ BM_FastModelEvaluate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FastModelEvaluate)->Unit(benchmark::kMicrosecond);
+
+/**
+ * The whole paper-default timing-model build (1346 solves) on
+ * state.range(0) workers: one thread, then one per hardware thread.
+ */
+void
+BM_TimingModelGenerate(benchmark::State &state)
+{
+    const CrossbarParams params;
+    const unsigned workers = static_cast<unsigned>(state.range(0));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            TimingModel::generate(params, 8, 1.0, 29.0, 658.0, workers));
+    }
+}
+BENCHMARK(BM_TimingModelGenerate)
+    ->Arg(1)
+    ->Arg(ThreadPool::defaultJobs())
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_MetadataCacheLookup(benchmark::State &state)

@@ -32,7 +32,11 @@ CellModel::CellModel(const CrossbarParams &params) : params_(params)
             hi = mid;
     }
     b_ = 0.5 * (lo + hi);
-    sinhBVw_ = std::sinh(b_ * vw);
+    const double sinhBVw = std::sinh(b_ * vw);
+    for (CellState state : {CellState::HRS, CellState::LRS}) {
+        isat_[static_cast<unsigned>(state)] =
+            vw * nominalConductance(state) / sinhBVw;
+    }
 }
 
 double
@@ -40,29 +44,6 @@ CellModel::nominalConductance(CellState state) const
 {
     return state == CellState::LRS ? 1.0 / params_.lrsOhms
                                    : 1.0 / params_.hrsOhms;
-}
-
-double
-CellModel::current(CellState state, double volts) const
-{
-    const double mag = std::abs(volts);
-    const double isat =
-        params_.writeVolts * nominalConductance(state) / sinhBVw_;
-    double i = isat * std::sinh(b_ * mag);
-    return volts >= 0.0 ? i : -i;
-}
-
-double
-CellModel::conductance(CellState state, double volts) const
-{
-    const double mag = std::abs(volts);
-    // As V -> 0 the sinh law has a finite slope Isat * B; use it to keep
-    // the Picard iteration well conditioned for unselected cells.
-    const double isat =
-        params_.writeVolts * nominalConductance(state) / sinhBVw_;
-    if (mag < 1e-6)
-        return isat * b_;
-    return isat * std::sinh(b_ * mag) / mag;
 }
 
 } // namespace ladder

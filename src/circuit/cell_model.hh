@@ -16,6 +16,7 @@
 #ifndef LADDER_CIRCUIT_CELL_MODEL_HH
 #define LADDER_CIRCUIT_CELL_MODEL_HH
 
+#include <cmath>
 #include <cstddef>
 
 namespace ladder
@@ -74,10 +75,27 @@ class CellModel
     explicit CellModel(const CrossbarParams &params);
 
     /** Conductance (S) of a cell in @p state with @p volts across it. */
-    double conductance(CellState state, double volts) const;
+    double
+    conductance(CellState state, double volts) const
+    {
+        const double mag = std::abs(volts);
+        const double isat = isat_[static_cast<unsigned>(state)];
+        // As V -> 0 the sinh law has a finite slope Isat * B; use it to
+        // keep the Picard iteration well conditioned for unselected
+        // cells.
+        if (mag < 1e-6)
+            return isat * b_;
+        return isat * std::sinh(b_ * mag) / mag;
+    }
 
     /** Current (A) through a cell in @p state at @p volts. */
-    double current(CellState state, double volts) const;
+    double
+    current(CellState state, double volts) const
+    {
+        const double mag = std::abs(volts);
+        double i = isat_[static_cast<unsigned>(state)] * std::sinh(b_ * mag);
+        return volts >= 0.0 ? i : -i;
+    }
 
     /** The fitted sinh steepness B (1/V). */
     double steepness() const { return b_; }
@@ -92,8 +110,9 @@ class CellModel
 
   private:
     CrossbarParams params_;
-    double b_ = 0.0;       //!< sinh steepness
-    double sinhBVw_ = 0.0; //!< cached sinh(B * Vw)
+    double b_ = 0.0; //!< sinh steepness
+    /** Saturation current Vw / R / sinh(B Vw), indexed by CellState. */
+    double isat_[2] = {0.0, 0.0};
 };
 
 } // namespace ladder

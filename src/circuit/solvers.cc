@@ -196,16 +196,11 @@ solveTridiagonal(std::vector<double> &sub, std::vector<double> &diag,
                  std::vector<double> &sup, std::vector<double> &rhs)
 {
     const std::size_t n = diag.size();
-    ladder_assert(sub.size() == n && sup.size() == n && rhs.size() == n,
+    ladder_assert(n > 0 && sub.size() == n && sup.size() == n &&
+                      rhs.size() == n,
                   "tridiag: dimension mismatch");
-    for (std::size_t i = 1; i < n; ++i) {
-        double w = sub[i] / diag[i - 1];
-        diag[i] -= w * sup[i - 1];
-        rhs[i] -= w * rhs[i - 1];
-    }
-    rhs[n - 1] /= diag[n - 1];
-    for (std::size_t i = n - 1; i-- > 0;)
-        rhs[i] = (rhs[i] - sup[i] * rhs[i + 1]) / diag[i];
+    solveTridiagonalLanes(sub.data(), sup.data(), diag.data(),
+                          rhs.data(), n, 1, 1);
 }
 
 } // namespace ladder

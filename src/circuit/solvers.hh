@@ -101,6 +101,51 @@ void solveTridiagonal(std::vector<double> &sub,
                       std::vector<double> &sup,
                       std::vector<double> &rhs);
 
+/**
+ * The Thomas algorithm over @p lanes independent tridiagonal systems
+ * of order @p n that share their off-diagonals, stored interleaved:
+ * row i of lane l lives at diag[i * stride + l] and rhs[i * stride + l]
+ * (stride >= lanes). Every lane performs exactly the scalar sweep's
+ * operations in its order, so each solution is bit-identical to
+ * solving that lane alone; interleaving only lets the lanes' serial
+ * divide chains overlap.
+ *
+ * sub[i] couples row i to i-1 (sub[0] unused); sup[i] couples row i to
+ * i+1 (sup[n-1] unused). diag/rhs are modified in place; the solution
+ * is returned in rhs.
+ */
+inline void
+solveTridiagonalLanes(const double *sub, const double *sup, double *diag,
+                      double *rhs, std::size_t n, std::size_t stride,
+                      std::size_t lanes)
+{
+    for (std::size_t i = 1; i < n; ++i) {
+        const double s = sub[i];
+        const double u = sup[i - 1];
+        double *d = diag + i * stride;
+        double *r = rhs + i * stride;
+        const double *dPrev = d - stride;
+        const double *rPrev = r - stride;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            double w = s / dPrev[l];
+            d[l] -= w * u;
+            r[l] -= w * rPrev[l];
+        }
+    }
+    double *dLast = diag + (n - 1) * stride;
+    double *rLast = rhs + (n - 1) * stride;
+    for (std::size_t l = 0; l < lanes; ++l)
+        rLast[l] /= dLast[l];
+    for (std::size_t i = n - 1; i-- > 0;) {
+        const double u = sup[i];
+        const double *d = diag + i * stride;
+        double *r = rhs + i * stride;
+        const double *rNext = r + stride;
+        for (std::size_t l = 0; l < lanes; ++l)
+            r[l] = (r[l] - u * rNext[l]) / d[l];
+    }
+}
+
 } // namespace ladder
 
 #endif // LADDER_CIRCUIT_SOLVERS_HH

@@ -157,33 +157,16 @@ checkSurfaceError(const CrossbarParams &params,
 {
     SurfaceErrorReport rep;
     rep.budget = relBudget;
-    const unsigned rows = table.rows();
-    const unsigned cols = table.cols();
-    const unsigned slots =
-        cols / static_cast<unsigned>(params.selectedCells);
-    const unsigned wlB = table.wlBuckets();
-    const unsigned blB = table.blBuckets();
-    const unsigned cB = table.contentBuckets();
-    const unsigned contentMax = table.contentMax();
+    const std::vector<ResetCondition> corners = WriteTimingTable::corners(
+        params, table.contentDim(), table.wlBuckets(), table.blBuckets(),
+        table.contentBuckets());
     double maxMagnitude = 0.0;
-    for (unsigned wb = 0; wb < wlB; ++wb) {
-        unsigned wl = (wb + 1) * rows / wlB - 1;
-        for (unsigned bb = 0; bb < blB; ++bb) {
-            unsigned slot = (bb + 1) * slots / blB - 1;
-            for (unsigned cb = 0; cb < cB; ++cb) {
-                unsigned count = (cb + 1) * contentMax / cB;
-                ResetCondition cond;
-                cond.wordline = wl;
-                cond.byteOffset = slot;
-                if (table.contentDim() == ContentDim::Wordline) {
-                    cond.wlLrsCount = count;
-                    cond.blLrsCount = rows;
-                } else {
-                    cond.blLrsCount = count;
-                    cond.wlLrsCount = cols;
-                }
-                double refNs =
-                    law.latencyNs(reference(cond).minDropVolts);
+    std::size_t idx = 0;
+    for (unsigned wb = 0; wb < table.wlBuckets(); ++wb) {
+        for (unsigned bb = 0; bb < table.blBuckets(); ++bb) {
+            for (unsigned cb = 0; cb < table.contentBuckets(); ++cb) {
+                double refNs = law.latencyNs(
+                    reference(corners[idx++]).minDropVolts);
                 double tabNs = table.at(wb, bb, cb).latencyNs;
                 ladder_assert(refNs > 0.0,
                               "reference latency must be positive");

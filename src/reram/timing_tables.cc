@@ -1,6 +1,7 @@
 #include "timing_tables.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -11,6 +12,7 @@
 #include "circuit/fastmodel.hh"
 #include "common/log.hh"
 #include "common/profiler.hh"
+#include "common/thread_pool.hh"
 #include "latency_surface.hh"
 
 namespace ladder
@@ -19,10 +21,51 @@ namespace ladder
 namespace
 {
 
-/** Precompute the dense lookup surfaces for a finished model. */
+/** Append every operating point fillTables() consumes, in order. */
 void
-attachSurfaces(TimingModel &model)
+appendTableConditions(std::vector<ResetCondition> &conds,
+                      const CrossbarParams &params, unsigned g)
 {
+    auto append = [&conds](const std::vector<ResetCondition> &more) {
+        conds.insert(conds.end(), more.begin(), more.end());
+    };
+    append(WriteTimingTable::corners(params, ContentDim::Wordline, g, g,
+                                     g));
+    append(WriteTimingTable::corners(params, ContentDim::Bitline, g, g,
+                                     g));
+    append(WriteTimingTable::corners(params, ContentDim::Wordline, g, g,
+                                     1));
+    append(PowerTable::conditions(params));
+}
+
+/**
+ * Fill the LADDER, BLP and location tables and the power table from
+ * evaluations of appendTableConditions()'s list under model.law, then
+ * precompute the dense lookup surfaces.
+ */
+void
+fillTables(TimingModel &model, unsigned g,
+           std::span<const ResetEvaluation> evals)
+{
+    auto take = [&evals](std::size_t count) {
+        ladder_assert(count <= evals.size(),
+                      "timing build: too few evaluations");
+        std::span<const ResetEvaluation> head = evals.first(count);
+        evals = evals.subspan(count);
+        return head;
+    };
+    const std::size_t cube = static_cast<std::size_t>(g) * g * g;
+    model.ladder = WriteTimingTable::build(model.params, model.law,
+                                           take(cube),
+                                           ContentDim::Wordline, g, g, g);
+    model.blp = WriteTimingTable::build(model.params, model.law,
+                                        take(cube), ContentDim::Bitline,
+                                        g, g, g);
+    model.location = WriteTimingTable::build(
+        model.params, model.law, take(static_cast<std::size_t>(g) * g),
+        ContentDim::Wordline, g, g, 1);
+    model.power = PowerTable::build(model.params, take(evals.size()));
+
     model.ladderSurface = std::make_shared<const LatencySurface>(
         LatencySurface::fromTable(model.ladder));
     model.blpSurface = std::make_shared<const LatencySurface>(
@@ -33,6 +76,44 @@ attachSurfaces(TimingModel &model)
 
 } // namespace
 
+std::vector<ResetEvaluation>
+evaluateFastModel(const CrossbarParams &params,
+                  std::span<const ResetCondition> conds,
+                  unsigned workers)
+{
+    const SneakPathModel fast(params);
+    std::vector<ResetEvaluation> out(conds.size());
+    if (workers == 0)
+        workers = ThreadPool::defaultJobs();
+    // Each worker keeps up to batchLanes conditions in flight.
+    workers = static_cast<unsigned>(std::min<std::size_t>(
+        workers, (conds.size() + SneakPathModel::batchLanes - 1) /
+                     SneakPathModel::batchLanes));
+    if (workers <= 1) {
+        fast.evaluateBatch(conds, out);
+        return out;
+    }
+
+    std::vector<SneakPathModel::Workspace> spaces;
+    spaces.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w)
+        spaces.emplace_back(fast);
+    std::atomic<std::size_t> next{0};
+    {
+        ThreadPool pool(workers);
+        std::vector<std::future<void>> done;
+        done.reserve(workers);
+        for (unsigned w = 0; w < workers; ++w) {
+            done.push_back(pool.submit([&, w]() {
+                fast.evaluateBatch(conds, out, spaces[w], next);
+            }));
+        }
+        for (auto &f : done)
+            f.get();
+    }
+    return out;
+}
+
 std::size_t
 WriteTimingTable::index(unsigned wl, unsigned bl, unsigned c) const
 {
@@ -41,12 +122,54 @@ WriteTimingTable::index(unsigned wl, unsigned bl, unsigned c) const
            c;
 }
 
+std::vector<ResetCondition>
+WriteTimingTable::corners(const CrossbarParams &params, ContentDim dim,
+                          unsigned wlBuckets, unsigned blBuckets,
+                          unsigned contentBuckets)
+{
+    ladder_assert(wlBuckets > 0 && blBuckets > 0 && contentBuckets > 0,
+                  "timing table: zero buckets");
+    const unsigned rows = static_cast<unsigned>(params.rows);
+    const unsigned cols = static_cast<unsigned>(params.cols);
+    const unsigned slots =
+        cols / static_cast<unsigned>(params.selectedCells);
+    const unsigned contentMax =
+        dim == ContentDim::Wordline ? cols : rows;
+    std::vector<ResetCondition> conds;
+    conds.reserve(static_cast<std::size_t>(wlBuckets) * blBuckets *
+                  contentBuckets);
+    for (unsigned wb = 0; wb < wlBuckets; ++wb) {
+        // Worst (farthest-from-driver) wordline of the bucket.
+        unsigned wl = (wb + 1) * rows / wlBuckets - 1;
+        for (unsigned bb = 0; bb < blBuckets; ++bb) {
+            // Worst byte slot of the bucket.
+            unsigned slot = (bb + 1) * slots / blBuckets - 1;
+            for (unsigned cb = 0; cb < contentBuckets; ++cb) {
+                // Worst (largest) content count of the bucket.
+                unsigned count = (cb + 1) * contentMax / contentBuckets;
+                ResetCondition cond;
+                cond.wordline = wl;
+                cond.byteOffset = slot;
+                if (dim == ContentDim::Wordline) {
+                    cond.wlLrsCount = count;
+                    cond.blLrsCount = rows;
+                } else {
+                    cond.blLrsCount = count;
+                    cond.wlLrsCount = cols;
+                }
+                conds.push_back(cond);
+            }
+        }
+    }
+    return conds;
+}
+
 WriteTimingTable
 WriteTimingTable::build(const CrossbarParams &params,
                         const ResetLatencyLaw &law,
-                        const ResetEvaluator &eval, ContentDim dim,
-                        unsigned wlBuckets, unsigned blBuckets,
-                        unsigned contentBuckets)
+                        std::span<const ResetEvaluation> evals,
+                        ContentDim dim, unsigned wlBuckets,
+                        unsigned blBuckets, unsigned contentBuckets)
 {
     ladder_assert(wlBuckets > 0 && blBuckets > 0 && contentBuckets > 0,
                   "timing table: zero buckets");
@@ -62,45 +185,19 @@ WriteTimingTable::build(const CrossbarParams &params,
                             : static_cast<unsigned>(params.rows);
     table.entries_.resize(static_cast<std::size_t>(wlBuckets) *
                           blBuckets * contentBuckets);
+    ladder_assert(evals.size() == table.entries_.size(),
+                  "timing table: %zu evaluations for %zu entries",
+                  evals.size(), table.entries_.size());
 
-    const unsigned rows = table.rows_;
-    const unsigned cols = table.cols_;
-    const unsigned slots =
-        cols / static_cast<unsigned>(params.selectedCells);
-
+    // Entries are stored in corners() order.
     double worst = 0.0;
     double best = std::numeric_limits<double>::max();
-    for (unsigned wb = 0; wb < wlBuckets; ++wb) {
-        // Worst (farthest-from-driver) wordline of the bucket.
-        unsigned wl = (wb + 1) * rows / wlBuckets - 1;
-        for (unsigned bb = 0; bb < blBuckets; ++bb) {
-            // Worst byte slot of the bucket.
-            unsigned slot = (bb + 1) * slots / blBuckets - 1;
-            for (unsigned cb = 0; cb < contentBuckets; ++cb) {
-                // Worst (largest) content count of the bucket.
-                unsigned count =
-                    (cb + 1) * table.contentMax_ / contentBuckets;
-                ResetCondition cond;
-                cond.wordline = wl;
-                cond.byteOffset = slot;
-                if (dim == ContentDim::Wordline) {
-                    cond.wlLrsCount = count;
-                    cond.blLrsCount =
-                        static_cast<unsigned>(params.rows);
-                } else {
-                    cond.blLrsCount = count;
-                    cond.wlLrsCount =
-                        static_cast<unsigned>(params.cols);
-                }
-                ResetEvaluation ev = eval(cond);
-                TimingEntry entry;
-                entry.latencyNs = law.latencyNs(ev.minDropVolts);
-                entry.powerMw = ev.sourcePowerWatts * 1e3;
-                table.entries_[table.index(wb, bb, cb)] = entry;
-                worst = std::max(worst, entry.latencyNs);
-                best = std::min(best, entry.latencyNs);
-            }
-        }
+    for (std::size_t i = 0; i < evals.size(); ++i) {
+        TimingEntry &entry = table.entries_[i];
+        entry.latencyNs = law.latencyNs(evals[i].minDropVolts);
+        entry.powerMw = evals[i].sourcePowerWatts * 1e3;
+        worst = std::max(worst, entry.latencyNs);
+        best = std::min(best, entry.latencyNs);
     }
     table.worstNs_ = worst;
     table.bestNs_ = best;
@@ -147,9 +244,42 @@ WriteTimingTable::storageBytes() const
     return entries_.size();
 }
 
+std::vector<ResetCondition>
+PowerTable::conditions(const CrossbarParams &params, unsigned buckets)
+{
+    ladder_assert(buckets > 0, "power table: zero buckets");
+    const unsigned rows = static_cast<unsigned>(params.rows);
+    const unsigned cols = static_cast<unsigned>(params.cols);
+    const unsigned slots =
+        cols / static_cast<unsigned>(params.selectedCells);
+    std::vector<ResetCondition> conds;
+    conds.reserve(static_cast<std::size_t>(buckets) * buckets * buckets *
+                  buckets);
+    for (unsigned wb = 0; wb < buckets; ++wb) {
+        unsigned wl = (2 * wb + 1) * rows / (2 * buckets);
+        for (unsigned bb = 0; bb < buckets; ++bb) {
+            unsigned slot = (2 * bb + 1) * slots / (2 * buckets);
+            for (unsigned cw = 0; cw < buckets; ++cw) {
+                unsigned wlCount = (2 * cw + 1) * cols / (2 * buckets);
+                for (unsigned cb = 0; cb < buckets; ++cb) {
+                    ResetCondition cond;
+                    cond.wordline = wl;
+                    cond.byteOffset = slot;
+                    cond.wlLrsCount = wlCount;
+                    cond.blLrsCount =
+                        (2 * cb + 1) * rows / (2 * buckets);
+                    conds.push_back(cond);
+                }
+            }
+        }
+    }
+    return conds;
+}
+
 PowerTable
 PowerTable::build(const CrossbarParams &params,
-                  const ResetEvaluator &eval, unsigned buckets)
+                  std::span<const ResetEvaluation> evals,
+                  unsigned buckets)
 {
     ladder_assert(buckets > 0, "power table: zero buckets");
     PowerTable table;
@@ -158,30 +288,11 @@ PowerTable::build(const CrossbarParams &params,
     table.cols_ = static_cast<unsigned>(params.cols);
     table.power_.resize(static_cast<std::size_t>(buckets) * buckets *
                         buckets * buckets);
-    const unsigned slots =
-        table.cols_ / static_cast<unsigned>(params.selectedCells);
-    std::size_t idx = 0;
-    for (unsigned wb = 0; wb < buckets; ++wb) {
-        unsigned wl = (2 * wb + 1) * table.rows_ / (2 * buckets);
-        for (unsigned bb = 0; bb < buckets; ++bb) {
-            unsigned slot = (2 * bb + 1) * slots / (2 * buckets);
-            for (unsigned cw = 0; cw < buckets; ++cw) {
-                unsigned wlCount =
-                    (2 * cw + 1) * table.cols_ / (2 * buckets);
-                for (unsigned cb = 0; cb < buckets; ++cb) {
-                    unsigned blCount =
-                        (2 * cb + 1) * table.rows_ / (2 * buckets);
-                    ResetCondition cond;
-                    cond.wordline = wl;
-                    cond.byteOffset = slot;
-                    cond.wlLrsCount = wlCount;
-                    cond.blLrsCount = blCount;
-                    table.power_[idx++] =
-                        eval(cond).sourcePowerWatts * 1e3;
-                }
-            }
-        }
-    }
+    ladder_assert(evals.size() == table.power_.size(),
+                  "power table: %zu evaluations for %zu entries",
+                  evals.size(), table.power_.size());
+    for (std::size_t i = 0; i < evals.size(); ++i)
+        table.power_[i] = evals[i].sourcePowerWatts * 1e3;
     return table;
 }
 
@@ -255,18 +366,15 @@ cachedTimingModel(const CrossbarParams &params, unsigned granularity,
 
 TimingModel
 TimingModel::generate(const CrossbarParams &params, unsigned granularity,
-                      double rangeShrink, double fastNs, double slowNs)
+                      double rangeShrink, double fastNs, double slowNs,
+                      unsigned workers)
 {
     PROF_SCOPE("timing_table_build");
     TimingModel model;
     model.params = params;
 
-    SneakPathModel fast(params);
-    ResetEvaluator eval = [&fast](const ResetCondition &c) {
-        return fast.evaluate(c);
-    };
-
-    // Calibration endpoints of the operating envelope.
+    // Calibration endpoints of the operating envelope, then every
+    // table corner.
     ResetCondition bestCond;
     bestCond.wordline = 0;
     bestCond.byteOffset = 0;
@@ -277,59 +385,34 @@ TimingModel::generate(const CrossbarParams &params, unsigned granularity,
     worstCond.byteOffset = params.cols / params.selectedCells - 1;
     worstCond.wlLrsCount = static_cast<unsigned>(params.cols);
     worstCond.blLrsCount = static_cast<unsigned>(params.rows);
+    std::vector<ResetCondition> conds{bestCond, worstCond};
+    appendTableConditions(conds, params, granularity);
+    const std::vector<ResetEvaluation> evals =
+        evaluateFastModel(params, conds, workers);
 
-    model.bestDropVolts = fast.evaluate(bestCond).minDropVolts;
-    model.worstDropVolts = fast.evaluate(worstCond).minDropVolts;
+    model.bestDropVolts = evals[0].minDropVolts;
+    model.worstDropVolts = evals[1].minDropVolts;
     model.law = ResetLatencyLaw::calibrate(model.bestDropVolts,
                                            model.worstDropVolts,
                                            fastNs, slowNs);
     if (rangeShrink > 1.0)
         model.law = model.law.shrinkDynamicRange(rangeShrink);
-
-    model.ladder =
-        WriteTimingTable::build(params, model.law, eval,
-                                ContentDim::Wordline, granularity,
-                                granularity, granularity);
-    model.blp = WriteTimingTable::build(params, model.law, eval,
-                                        ContentDim::Bitline,
-                                        granularity, granularity,
-                                        granularity);
-    model.location =
-        WriteTimingTable::build(params, model.law, eval,
-                                ContentDim::Wordline, granularity,
-                                granularity, 1);
-    model.power = PowerTable::build(params, eval);
-    attachSurfaces(model);
+    fillTables(model, granularity, std::span(evals).subspan(2));
     return model;
 }
 
 TimingModel
 TimingModel::generateDerived(const CrossbarParams &params,
                              const ResetLatencyLaw &law,
-                             unsigned granularity)
+                             unsigned granularity, unsigned workers)
 {
     TimingModel model;
     model.params = params;
     model.law = law;
-
-    SneakPathModel fast(params);
-    ResetEvaluator eval = [&fast](const ResetCondition &c) {
-        return fast.evaluate(c);
-    };
-    model.ladder =
-        WriteTimingTable::build(params, law, eval,
-                                ContentDim::Wordline, granularity,
-                                granularity, granularity);
-    model.blp = WriteTimingTable::build(params, law, eval,
-                                        ContentDim::Bitline,
-                                        granularity, granularity,
-                                        granularity);
-    model.location =
-        WriteTimingTable::build(params, law, eval,
-                                ContentDim::Wordline, granularity,
-                                granularity, 1);
-    model.power = PowerTable::build(params, eval);
-    attachSurfaces(model);
+    std::vector<ResetCondition> conds;
+    appendTableConditions(conds, params, granularity);
+    fillTables(model, granularity,
+               evaluateFastModel(params, conds, workers));
     return model;
 }
 

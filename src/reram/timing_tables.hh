@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,24 @@ struct TimingEntry
 using ResetEvaluator =
     std::function<ResetEvaluation(const ResetCondition &)>;
 
+/**
+ * Evaluate @p conds with the fast sneak-path model of @p params on
+ * @p workers threads (0 selects ThreadPool::defaultJobs()). Each
+ * worker batch-solves conditions it claims from a shared cursor, so a
+ * worker on a busy core does not hold the others up. Results land at
+ * their condition's index and are bit-identical for any worker count.
+ *
+ * The pool is local to the call, so a build running inside a sweep
+ * worker never waits on the sweep pool. Every buffer the workers use
+ * is allocated on the calling thread before they start and freed
+ * after they finish, so the solves never touch the heap: per-thread
+ * malloc arenas would otherwise outlive the build in peak RSS.
+ */
+std::vector<ResetEvaluation>
+evaluateFastModel(const CrossbarParams &params,
+                  std::span<const ResetCondition> conds,
+                  unsigned workers = 0);
+
 /** A bucketed ⟨WL, BL, content⟩ -> latency table. */
 class WriteTimingTable
 {
@@ -55,18 +74,28 @@ class WriteTimingTable
     WriteTimingTable() = default;
 
     /**
-     * Generate a table from a circuit evaluator.
+     * The operating point behind every entry, in entry order
+     * (wordline bucket, then bitline bucket, then content bucket):
+     * the worst-case corner of each bucket, so a lookup is safe for
+     * any point inside it.
      *
      * @param params Crossbar parameters (defines index ranges).
-     * @param law Calibrated voltage-drop -> latency law.
-     * @param eval Circuit evaluator (fast model or full MNA).
      * @param dim Which content dimension the table resolves.
      * @param wlBuckets/blBuckets/contentBuckets Table granularity
      *        (8x8x8 in the paper).
      */
+    static std::vector<ResetCondition>
+    corners(const CrossbarParams &params, ContentDim dim,
+            unsigned wlBuckets, unsigned blBuckets,
+            unsigned contentBuckets);
+
+    /**
+     * Fill a table from circuit evaluations of corners() (same
+     * arguments, same order), mapping each drop through @p law.
+     */
     static WriteTimingTable build(const CrossbarParams &params,
                                   const ResetLatencyLaw &law,
-                                  const ResetEvaluator &eval,
+                                  std::span<const ResetEvaluation> evals,
                                   ContentDim dim,
                                   unsigned wlBuckets = 8,
                                   unsigned blBuckets = 8,
@@ -128,8 +157,13 @@ class PowerTable
   public:
     PowerTable() = default;
 
+    /** The operating point behind every entry (bucket midpoints). */
+    static std::vector<ResetCondition>
+    conditions(const CrossbarParams &params, unsigned buckets = 4);
+
+    /** Fill a table from circuit evaluations of conditions(). */
     static PowerTable build(const CrossbarParams &params,
-                            const ResetEvaluator &eval,
+                            std::span<const ResetEvaluation> evals,
                             unsigned buckets = 4);
 
     /** Power (mW) at raw indices/counts (nearest-bucket rounding). */
@@ -174,17 +208,23 @@ struct TimingModel
     std::shared_ptr<const LatencySurface> locationSurface;
 
     /**
-     * Build everything from the fast model.
+     * Build everything from the fast model: list every operating point
+     * (two calibration endpoints, then each table's corners), evaluate
+     * the list with evaluateFastModel, calibrate the law, then fill
+     * the tables.
      *
      * @param granularity Buckets per dimension (8 in the paper).
      * @param rangeShrink Dynamic-range shrink factor for the §7
      *        process-variation ablation (1.0 = nominal).
+     * @param workers Solver threads (0 = ThreadPool::defaultJobs());
+     *        the result is bit-identical for any count.
      */
     static TimingModel generate(const CrossbarParams &params,
                                 unsigned granularity = 8,
                                 double rangeShrink = 1.0,
                                 double fastNs = 29.0,
-                                double slowNs = 658.0);
+                                double slowNs = 658.0,
+                                unsigned workers = 0);
 
     /**
      * Build tables for a *variant* operating mode (e.g. Split-reset's
@@ -193,16 +233,18 @@ struct TimingModel
      */
     static TimingModel generateDerived(const CrossbarParams &params,
                                        const ResetLatencyLaw &law,
-                                       unsigned granularity = 8);
+                                       unsigned granularity = 8,
+                                       unsigned workers = 0);
 
     /** Worst-case fixed write latency (the baseline's tWR). */
     double worstLatencyNs() const { return location.worstLatencyNs(); }
 };
 
 /**
- * Memoized TimingModel::generate. Table generation costs ~0.1s per
- * parameter set; experiment sweeps construct hundreds of systems, so
- * identical models are built once and shared.
+ * Memoized TimingModel::generate. Table generation solves 1346
+ * operating points per parameter set (about 0.7 s on one 2.1 GHz core,
+ * 0.15-0.3 s on four); experiment sweeps construct hundreds of
+ * systems, so identical models are built once and shared.
  */
 const TimingModel &cachedTimingModel(const CrossbarParams &params,
                                      unsigned granularity = 8,

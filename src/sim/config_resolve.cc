@@ -252,14 +252,8 @@ registerExperimentParams(Registry &reg)
         .inManifest = false;
     reg.addBool("latency.surface-check",
                 LADDER_FIELD(system.latencySurfaceCheck),
-                "Verify every surface cell against its table and the "
-                "circuit model at init; fatal on violation")
-        .inManifest = false;
-    reg.addDouble("latency.error-budget",
-                  LADDER_FIELD(system.latencyErrorBudget),
-                  "Relative latency error the surface check tolerates "
-                  "against the circuit model",
-                  0.0, 1.0)
+                "Verify every surface cell against its table at init; "
+                "fatal on violation")
         .inManifest = false;
 
     // ---------------------------------------------------------------

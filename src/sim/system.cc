@@ -6,7 +6,6 @@
 #include <ostream>
 #include <set>
 
-#include "circuit/fastmodel.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
 #include "common/profiler.hh"
@@ -23,14 +22,12 @@ namespace
 
 /**
  * Init-time surface verification (SystemConfig::latencySurfaceCheck):
- * exact surface-vs-table identity plus a corner re-evaluation against
- * the generating fast model under the error budget. Memoized on the
- * shared (cached) model's identity, so a sweep building hundreds of
- * Systems checks each distinct model once.
+ * exact surface-vs-table identity. Memoized on the shared (cached)
+ * model's identity, so a sweep building hundreds of Systems checks
+ * each distinct model once.
  */
 void
-verifyLatencySurfaces(const TimingModel &model,
-                      const CrossbarParams &params, double budget)
+verifyLatencySurfaces(const TimingModel &model)
 {
     static std::mutex mutex;
     static std::set<const TimingModel *> checked;
@@ -51,10 +48,6 @@ verifyLatencySurfaces(const TimingModel &model,
         {model.blpSurface, model.blp, "blp"},
         {model.locationSurface, model.location, "location"},
     };
-    SneakPathModel fast(params);
-    ResetEvaluator eval = [&fast](const ResetCondition &c) {
-        return fast.evaluate(c);
-    };
     for (const Item &item : items) {
         ladder_assert(item.surface != nullptr,
                       "timing model lacks a %s surface", item.what);
@@ -65,13 +58,6 @@ verifyLatencySurfaces(const TimingModel &model,
                       "(%zu of %zu cells, max %.3g ns)",
                       item.what, check.mismatches, check.cellsChecked,
                       check.maxAbsErrorNs);
-        SurfaceErrorReport err = checkSurfaceError(
-            params, item.table, model.law, eval, budget);
-        ladder_assert(err.ok(),
-                      "%s timing table violates the %.3g error "
-                      "budget (%zu of %zu corners, max rel %.3g)",
-                      item.what, budget, err.violations,
-                      err.cellsChecked, err.maxRelError);
     }
 }
 
@@ -96,8 +82,7 @@ System::System(const SystemConfig &config) : config_(config)
                                  config_.tableGranularity,
                                  config_.rangeShrink);
     if (config_.latencySurfaceCheck)
-        verifyLatencySurfaces(*timing_, config_.crossbar,
-                              config_.latencyErrorBudget);
+        verifyLatencySurfaces(*timing_);
 
     store_ = std::make_unique<BackingStore>(
         config_.geometry, /*trackBitlines=*/true,

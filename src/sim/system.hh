@@ -68,14 +68,10 @@ struct SystemConfig
     /**
      * Verify the precomputed latency surfaces at init: exact
      * bit-identity of every surface cell and index map against the
-     * bucketed tables, plus a circuit re-evaluation of every table
-     * corner against the generating fast model under
-     * latencyErrorBudget. Fatal on any violation; memoized per shared
+     * bucketed tables. Fatal on any violation; memoized per shared
      * timing model so sweeps pay the cost once.
      */
     bool latencySurfaceCheck = false;
-    /** Relative latency error tolerated by the surface check. */
-    double latencyErrorBudget = 0.05;
     /**
      * Core-clock cycles between periodic stat snapshots during the
      * measured window (0 = no epoch time series). Each snapshot

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "circuit/cell_model.hh"
 
 namespace ladder
@@ -86,6 +89,44 @@ TEST(CellModel, HigherKappaMeansSteeper)
     // Stronger selector suppresses half-select current more.
     EXPECT_LT(b.current(CellState::LRS, 1.5),
               a.current(CellState::LRS, 1.5));
+}
+
+/**
+ * The saturation current is hoisted out of conductance()/current()
+ * into the constructor; every result must stay bit-identical to the
+ * original per-call formula, spelled out here, including the
+ * |V| < 1e-6 small-signal branch and negative voltages.
+ */
+TEST(CellModel, HoistedSaturationCurrentIsBitIdentical)
+{
+    for (double kappa : {10.0, 200.0, 1000.0}) {
+        CrossbarParams p;
+        p.selectorNonlinearity = kappa;
+        CellModel cell(p);
+        const double b = cell.steepness();
+        const double sinhBVw = std::sinh(b * p.writeVolts);
+        auto same = [](double x, double y) {
+            return std::memcmp(&x, &y, sizeof(double)) == 0;
+        };
+        for (CellState state : {CellState::HRS, CellState::LRS}) {
+            const double isat = p.writeVolts *
+                                cell.nominalConductance(state) / sinhBVw;
+            for (double v : {-3.0, -1.5, -0.37, -1e-3, -9e-7, -1e-9, 0.0,
+                             1e-9, 5e-7, 9.99e-7, 1e-6, 2e-6, 0.013,
+                             0.5, 1.5, 2.2, 3.0, 3.5}) {
+                const double mag = std::abs(v);
+                const double g = mag < 1e-6
+                                     ? isat * b
+                                     : isat * std::sinh(b * mag) / mag;
+                double i = isat * std::sinh(b * mag);
+                i = v >= 0.0 ? i : -i;
+                EXPECT_TRUE(same(cell.conductance(state, v), g))
+                    << "kappa " << kappa << " v " << v;
+                EXPECT_TRUE(same(cell.current(state, v), i))
+                    << "kappa " << kappa << " v " << v;
+            }
+        }
+    }
 }
 
 class ConductanceConsistency
