@@ -14,13 +14,45 @@
 #include <string>
 
 #include "circuit/fastmodel.hh"
-#include "common/config.hh"
+#include "common/param_registry.hh"
 #include "reram/timing_tables.hh"
 
 using namespace ladder;
 
 namespace
 {
+
+struct Options
+{
+    unsigned wl = 256;
+    unsigned bl = 256;
+    unsigned count = 128;
+    unsigned granularity = 8;
+    std::string sweep = "count";
+};
+
+const ParamRegistry<Options> &
+registry()
+{
+    static const ParamRegistry<Options> reg = [] {
+        ParamRegistry<Options> r;
+        r.addInt<unsigned>("wl", [](Options &o) -> auto & { return o.wl; },
+                           "Wordline of the single point", 0, 511);
+        r.addInt<unsigned>("bl", [](Options &o) -> auto & { return o.bl; },
+                           "Bitline of the single point", 0, 511);
+        r.addInt<unsigned>(
+            "count", [](Options &o) -> auto & { return o.count; },
+            "Wordline LRS count of the single point", 0, 512);
+        r.addInt<unsigned>(
+            "granularity",
+            [](Options &o) -> auto & { return o.granularity; },
+            "Timing-table buckets per axis", 1, 64);
+        r.addChoice("sweep", [](Options &o) -> auto & { return o.sweep; },
+                    "Axis to sweep", {"wl", "bl", "count"});
+        return r;
+    }();
+    return reg;
+}
 
 void
 evaluatePoint(const TimingModel &model, const SneakPathModel &fast,
@@ -45,16 +77,11 @@ evaluatePoint(const TimingModel &model, const SneakPathModel &fast,
 int
 main(int argc, char **argv)
 {
-    Config args;
-    // Strict parse: unknown keys are rejected with a suggestion.
-    args.parseArgs(argc, argv,
-                   {"wl", "bl", "count", "granularity", "sweep"});
-    unsigned wl = static_cast<unsigned>(args.getInt("wl", 256));
-    unsigned bl = static_cast<unsigned>(args.getInt("bl", 256));
-    unsigned count = static_cast<unsigned>(args.getInt("count", 128));
-    unsigned granularity =
-        static_cast<unsigned>(args.getInt("granularity", 8));
-    std::string sweep = args.getString("sweep", "count");
+    Options opts;
+    registry().applyArgs(opts, argc, argv);
+    const unsigned wl = opts.wl, bl = opts.bl, count = opts.count;
+    const unsigned granularity = opts.granularity;
+    const std::string &sweep = opts.sweep;
 
     CrossbarParams params;
     const TimingModel &model = cachedTimingModel(params, granularity);

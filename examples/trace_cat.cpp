@@ -22,12 +22,61 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
-#include "common/config.hh"
+#include "common/param_registry.hh"
 #include "ctrl/trace_reader.hh"
 
 using namespace ladder;
+
+namespace
+{
+
+struct Options
+{
+    std::string mode = "dump";
+    std::string kind; //!< "" = both kinds
+    std::int64_t channel = -1;
+    std::uint64_t minTick = 0;
+    std::int64_t maxTick = -1;
+    std::int64_t limit = -1;
+    std::int64_t chunk = -1;
+};
+
+const ParamRegistry<Options> &
+registry()
+{
+    static const ParamRegistry<Options> reg = [] {
+        constexpr auto i64max = std::numeric_limits<std::int64_t>::max();
+        ParamRegistry<Options> r;
+        r.addChoice("mode", [](Options &o) -> auto & { return o.mode; },
+                    "What to print", {"dump", "summary", "chunks"});
+        r.addChoice("kind", [](Options &o) -> auto & { return o.kind; },
+                    "Only write (W) or read (R) records", {"W", "R"});
+        r.addInt<std::int64_t>(
+            "channel", [](Options &o) -> auto & { return o.channel; },
+            "Only this channel (-1 = all)", -1, 255);
+        r.addInt<std::uint64_t>(
+            "min-tick", [](Options &o) -> auto & { return o.minTick; },
+            "Drop records before this tick");
+        r.addInt<std::int64_t>(
+            "max-tick", [](Options &o) -> auto & { return o.maxTick; },
+            "Drop records after this tick (-1 = no bound)", -1, i64max);
+        r.addInt<std::int64_t>(
+            "limit", [](Options &o) -> auto & { return o.limit; },
+            "dump: stop after this many records (-1 = all)", -1,
+            i64max);
+        r.addInt<std::int64_t>(
+            "chunk", [](Options &o) -> auto & { return o.chunk; },
+            "v2: start at this chunk via the index (-1 = start)", -1,
+            i64max);
+        return r;
+    }();
+    return reg;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -42,19 +91,16 @@ main(int argc, char **argv)
         return 2;
     }
     const std::string path = argv[1];
-    Config args;
-    // Strict parse: unknown keys are rejected with a suggestion.
-    args.parseArgs(argc - 1, argv + 1,
-                   {"mode", "kind", "channel", "min-tick", "max-tick",
-                    "limit", "chunk"});
-    const std::string mode = args.getString("mode", "dump");
-    const std::string kind = args.getString("kind", "");
-    const std::int64_t channel = args.getInt("channel", -1);
-    const std::uint64_t minTick =
-        static_cast<std::uint64_t>(args.getInt("min-tick", 0));
-    const std::int64_t maxTickArg = args.getInt("max-tick", -1);
-    const std::int64_t limit = args.getInt("limit", -1);
-    const std::int64_t chunk = args.getInt("chunk", -1);
+    Options opts;
+    // argv[1] is the trace path; the rest are key=value options.
+    registry().applyArgs(opts, argc - 1, argv + 1);
+    const std::string &mode = opts.mode;
+    const std::string &kind = opts.kind;
+    const std::int64_t channel = opts.channel;
+    const std::uint64_t minTick = opts.minTick;
+    const std::int64_t maxTickArg = opts.maxTick;
+    const std::int64_t limit = opts.limit;
+    const std::int64_t chunk = opts.chunk;
 
     TraceReader reader;
     if (!reader.open(path)) {
@@ -122,12 +168,6 @@ main(int argc, char **argv)
                             ch, s.perChannel[ch]);
         }
         return 0;
-    }
-
-    if (mode != "dump") {
-        std::fprintf(stderr, "trace_cat: unknown mode '%s'\n",
-                     mode.c_str());
-        return 2;
     }
 
     // Push the tick window down to the reader: on v2 traces, chunks

@@ -25,7 +25,9 @@
 #define LADDER_COMMON_PARAM_REGISTRY_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <iostream>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -410,6 +412,32 @@ class ParamRegistry
         if (it == params_.end())
             param_detail::unknownKeyError(source, key, names());
         it->second.set(owner, value, source);
+    }
+
+    /**
+     * Assign every `key=value` token of argv[1..argc) through set(),
+     * for tools whose whole command line is registry parameters;
+     * fatal() on a token without '='. `--help-config` prints help()
+     * for @p owner's current values and exits.
+     */
+    void
+    applyArgs(Owner &owner, int argc, const char *const *argv) const
+    {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--help-config") {
+                help(std::cout, owner);
+                std::exit(0);
+            }
+            const auto eq = arg.find('=');
+            if (eq == std::string::npos || eq == 0) {
+                fatal("command line: unexpected argument '%s' (every "
+                      "option is key=value)",
+                      arg.c_str());
+            }
+            set(owner, arg.substr(0, eq), arg.substr(eq + 1),
+                "command line");
+        }
     }
 
     /**

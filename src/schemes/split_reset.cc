@@ -50,30 +50,28 @@ SplitResetScheme::SplitResetScheme(const CrossbarParams &params,
 {
 }
 
+const TimingEntry &
+SplitResetScheme::phaseTiming(const WriteEntry &entry) const
+{
+    // The half-RESET model carries its own dense surface.
+    return halfModel_.locationSurface->lookup(
+        entry.loc.wordline, entry.loc.worstBitline(), 0);
+}
+
 WriteDecision
 SplitResetScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
                               const LineData &finalData)
 {
+    (void)ctrl;
     (void)finalData;
     // Compression is decided on the logical data the processor sent.
     bool compressible = fpcCompressible(entry.data);
     if (compressible)
-        ++(compressibleShards_.empty()
-               ? compressibleWrites
-               : compressibleShards_[entry.loc.channel]);
+        ++compressibleWrites;
     else
-        ++(incompressibleShards_.empty()
-               ? incompressibleWrites
-               : incompressibleShards_[entry.loc.channel]);
+        ++incompressibleWrites;
 
-    // The half-RESET model carries its own dense surface; honour the
-    // controller's surface switch so differential runs stay exact.
-    const TimingEntry &phase =
-        ctrl.surfaceEnabled() && halfModel_.locationSurface
-            ? halfModel_.locationSurface->lookup(
-                  entry.loc.wordline, entry.loc.worstBitline(), 0)
-            : halfModel_.location.lookup(
-                  entry.loc.wordline, entry.loc.worstBitline(), 0);
+    const TimingEntry &phase = phaseTiming(entry);
     unsigned phases = compressible ? 1 : 2;
     // Each half-RESET phase drives half the selected cells.
     return {phase.latencyNs * phases, phase.powerMw, 0.6};
@@ -84,40 +82,16 @@ SplitResetScheme::attributeWrite(const MemoryController &ctrl,
                                  const WriteEntry &entry,
                                  const WriteDecision &decision) const
 {
+    (void)ctrl;
     // Re-derive the single-phase latency exactly as decideWrite did;
     // the remainder of the decided latency (the second phase, when
     // the line is incompressible) is scheme overhead.
-    const TimingEntry &phase =
-        ctrl.surfaceEnabled() && halfModel_.locationSurface
-            ? halfModel_.locationSurface->lookup(
-                  entry.loc.wordline, entry.loc.worstBitline(), 0)
-            : halfModel_.location.lookup(
-                  entry.loc.wordline, entry.loc.worstBitline(), 0);
+    const TimingEntry &phase = phaseTiming(entry);
     double singlePhaseNs =
         phase.latencyNs < decision.latencyNs ? phase.latencyNs
                                              : decision.latencyNs;
     return {halfModel_.location.bestLatencyNs(), singlePhaseNs,
             singlePhaseNs};
-}
-
-void
-SplitResetScheme::setChannelShards(unsigned channels)
-{
-    compressibleShards_.assign(channels, StatScalar{});
-    incompressibleShards_.assign(channels, StatScalar{});
-}
-
-void
-SplitResetScheme::foldChannelShards()
-{
-    for (auto &shard : compressibleShards_) {
-        compressibleWrites.mergeFrom(shard);
-        shard = StatScalar{};
-    }
-    for (auto &shard : incompressibleShards_) {
-        incompressibleWrites.mergeFrom(shard);
-        shard = StatScalar{};
-    }
 }
 
 } // namespace ladder

@@ -10,8 +10,6 @@
 #ifndef LADDER_SCHEMES_SPLIT_RESET_HH
 #define LADDER_SCHEMES_SPLIT_RESET_HH
 
-#include <vector>
-
 #include "common/stats.hh"
 #include "ctrl/controller.hh"
 #include "ctrl/scheme.hh"
@@ -44,17 +42,15 @@ class SplitResetScheme : public WriteScheme
     WriteBlameHint attributeWrite(
         const MemoryController &ctrl, const WriteEntry &entry,
         const WriteDecision &decision) const override;
-    void setChannelShards(unsigned channels) override;
-    void foldChannelShards() override;
 
     StatScalar compressibleWrites;
     StatScalar incompressibleWrites;
 
   private:
     const TimingModel &halfModel_;
-    /** Per-channel count shards (engine mode only; empty = legacy). */
-    std::vector<StatScalar> compressibleShards_;
-    std::vector<StatScalar> incompressibleShards_;
+
+    /** One half-RESET phase at the entry's location. */
+    const TimingEntry &phaseTiming(const WriteEntry &entry) const;
 };
 
 } // namespace ladder

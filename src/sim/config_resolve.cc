@@ -240,16 +240,9 @@ registerExperimentParams(Registry &reg)
                 "observed write content");
 
     // ---------------------------------------------------------------
-    // Latency-surface hot path (host-performance switches; all
-    // manifest-excluded: results are bit-identical either way, so
-    // resolved-config manifests and goldens must not change)
+    // Latency-surface check (manifest-excluded: a verification switch
+    // that never changes results)
     // ---------------------------------------------------------------
-    reg.addBool("latency.surface",
-                LADDER_FIELD(system.controller.latencySurface),
-                "Resolve per-write timings through the dense "
-                "precomputed latency surfaces (O(1) lookups; "
-                "bit-identical to the bucketed tables)")
-        .inManifest = false;
     reg.addBool("latency.surface-check",
                 LADDER_FIELD(system.latencySurfaceCheck),
                 "Verify every surface cell against its table at init; "
@@ -378,25 +371,6 @@ registerExperimentParams(Registry &reg)
     reg.addDouble("ctrl.transition-energy-pj",
                   LADDER_FIELD(system.controller.transitionEnergyPj),
                   "Energy per cell switched on writes", 0.0, 1e6);
-    reg.addInt<unsigned>(
-           "ctrl.channel-threads",
-           LADDER_FIELD(system.controller.channelThreads),
-           "Channel-engine workers (0 = legacy shared event queue; "
-           "any N >= 1 runs per-channel queues with barrier commit, "
-           "byte-identical across every N >= 1)",
-           0, 256)
-        .inManifest = false;
-    reg.addDouble("ctrl.lookahead",
-                  LADDER_FIELD(system.controller.lookaheadNs),
-                  "Channel-engine barrier window in ns (0 = auto: "
-                  "tRCD + tCL); fixed lookahead keeps results "
-                  "invariant across worker counts",
-                  0.0, 1e6)
-        .inManifest = false;
-    reg.addChoice("pool.pin", LADDER_FIELD(system.poolPin),
-                  "Channel-worker CPU affinity (host hint only)",
-                  {"off", "cores"})
-        .inManifest = false;
 
     // ---------------------------------------------------------------
     // Cache hierarchy

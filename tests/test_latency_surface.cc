@@ -50,6 +50,20 @@ model()
     return cachedTimingModel(CrossbarParams{});
 }
 
+/** Split-reset's half-RESET model: half the selected cells under the
+ *  reference law, derived exactly as the scheme derives it. */
+const TimingModel &
+halfModel()
+{
+    static const TimingModel derived = [] {
+        const TimingModel &m = model();
+        CrossbarParams half = m.params;
+        half.selectedCells = m.params.selectedCells / 2;
+        return TimingModel::generateDerived(half, m.law);
+    }();
+    return derived;
+}
+
 ResetEvaluator
 fastEvaluator(const SneakPathModel &fast)
 {
@@ -125,6 +139,9 @@ TEST(LatencySurface, MatchesTableOnDenseSweeps)
 TEST(LatencySurface, MatchesTableOnRandomTriples)
 {
     const TimingModel &m = model();
+    const TimingModel &h = halfModel();
+    ASSERT_EQ(h.location.rows(), m.ladder.rows());
+    ASSERT_EQ(h.location.cols(), m.ladder.cols());
     std::mt19937 rng(20260809);
     std::uniform_int_distribution<unsigned> wlD(0, m.ladder.rows() - 1);
     std::uniform_int_distribution<unsigned> blD(0, m.ladder.cols() - 1);
@@ -140,6 +157,8 @@ TEST(LatencySurface, MatchesTableOnRandomTriples)
                   m.blp.lookup(wl, bl, c).latencyNs);
         ASSERT_EQ(m.locationSurface->lookup(wl, bl, c).latencyNs,
                   m.location.lookup(wl, bl, c).latencyNs);
+        ASSERT_EQ(h.locationSurface->lookup(wl, bl, c).latencyNs,
+                  h.location.lookup(wl, bl, c).latencyNs);
     }
 }
 
@@ -247,10 +266,7 @@ TEST(LatencySurface, GeneratingEvaluatorReproducesEveryCellExactly)
 
 TEST(LatencySurface, DerivedModelSurfacesVerify)
 {
-    const TimingModel &m = model();
-    CrossbarParams half = m.params;
-    half.selectedCells = 4;
-    TimingModel derived = TimingModel::generateDerived(half, m.law);
+    const TimingModel &derived = halfModel();
     ASSERT_NE(derived.ladderSurface, nullptr);
     ASSERT_NE(derived.blpSurface, nullptr);
     ASSERT_NE(derived.locationSurface, nullptr);

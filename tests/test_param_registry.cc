@@ -368,6 +368,47 @@ TEST(ParamRegistry, DumpAndHelpFlagsAreRecognized)
     EXPECT_FALSE(resolve({}).dumpRequested);
 }
 
+TEST(ParamRegistry, ApplyArgsAssignsEveryToken)
+{
+    struct Tool
+    {
+        unsigned count = 1;
+        std::string mode = "dump";
+    };
+    ParamRegistry<Tool> reg;
+    reg.addInt<unsigned>("count",
+                         [](Tool &t) -> auto & { return t.count; },
+                         "How many", 0, 10);
+    reg.addChoice("mode", [](Tool &t) -> auto & { return t.mode; },
+                  "What to do", {"dump", "summary"});
+    auto apply = [&reg](std::vector<const char *> args) {
+        args.insert(args.begin(), "prog");
+        Tool tool;
+        reg.applyArgs(tool, static_cast<int>(args.size()), args.data());
+        return tool;
+    };
+    auto errorOfArgs = [&apply](std::vector<const char *> args) {
+        try {
+            apply(std::move(args));
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+
+    Tool tool = apply({"count=7", "mode=summary"});
+    EXPECT_EQ(tool.count, 7u);
+    EXPECT_EQ(tool.mode, "summary");
+    EXPECT_EQ(apply({}).count, 1u);
+
+    EXPECT_NE(errorOfArgs({"cout=3"}).find("did you mean 'count'?"),
+              std::string::npos);
+    EXPECT_NE(errorOfArgs({"count=11"}).find("out of range"),
+              std::string::npos);
+    EXPECT_NE(errorOfArgs({"positional"}).find("unexpected argument"),
+              std::string::npos);
+}
+
 TEST(ParamRegistry, ManifestScopeExcludesOutputAndVolatileKnobs)
 {
     ExperimentConfig cfg;
