@@ -42,7 +42,7 @@ struct LatencyTail
 };
 
 /**
- * Run one (scheme, workload) cell with a buffered trace sink and
+ * Run one (scheme, workload) cell with an in-memory trace sink and
  * summarize the per-write chosen-tWR distribution.
  */
 LatencyTail

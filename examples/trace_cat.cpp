@@ -2,7 +2,7 @@
  * @file
  * Trace inspection CLI over the TraceReader library: dump, filter,
  * summarize, or list the chunk index of any trace the simulator can
- * emit (CSV, v1 packed binary, v2 chunked binary).
+ * emit (CSV, or the v2/v3 chunked binary).
  *
  *   ./trace_cat <trace-file> [mode=dump|summary|chunks]
  *               [kind=W|R] [channel=<N>]

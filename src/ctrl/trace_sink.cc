@@ -178,11 +178,9 @@ traceFormatFromName(const std::string &name)
 {
     if (name == "csv")
         return TraceFormat::Csv;
-    if (name == "bin")
-        return TraceFormat::BinaryV1;
     if (name == "bin2")
         return TraceFormat::BinaryV2;
-    fatal("trace-format must be 'csv', 'bin', or 'bin2', got '%s'",
+    fatal("trace-format must be 'csv' or 'bin2', got '%s'",
           name.c_str());
 }
 
@@ -200,13 +198,8 @@ traceFormatExtension(TraceFormat format)
  */
 struct WriteTraceSink::Stream
 {
-    explicit Stream(std::size_t maxQueuedChunks)
-        : queue(maxQueuedChunks)
-    {
-    }
-
     std::ofstream os;
-    BoundedQueue<std::vector<CtrlTraceRecord>> queue;
+    BoundedQueue<std::vector<CtrlTraceRecord>> queue{queueCapacityChunks};
     std::thread writer;
     std::atomic<std::size_t> inFlight{0}; //!< queued, unwritten records
     std::atomic<bool> failed{false};
@@ -220,19 +213,13 @@ WriteTraceSink::WriteTraceSink() = default;
 
 WriteTraceSink::WriteTraceSink(const std::string &path,
                                TraceFormat format,
-                               const TraceStreamOptions &options,
+                               std::size_t chunkRecords,
                                bool attribution)
-    : path_(path), format_(format), options_(options),
+    : path_(path), format_(format), chunkRecords_(chunkRecords),
       attribution_(attribution)
 {
-    ladder_assert(format_ != TraceFormat::BinaryV1,
-                  "streaming trace requires 'csv' or 'bin2' (the v1 "
-                  "header carries the record count up front)");
-    ladder_assert(options_.chunkRecords > 0,
-                  "streaming trace: zero chunk size");
-    ladder_assert(options_.maxQueuedChunks > 0,
-                  "streaming trace: zero queue capacity");
-    records_.reserve(options_.chunkRecords);
+    ladder_assert(chunkRecords_ > 0, "trace file: zero chunk size");
+    records_.reserve(chunkRecords_);
     startStream();
 }
 
@@ -248,13 +235,13 @@ WriteTraceSink::~WriteTraceSink()
 void
 WriteTraceSink::startStream()
 {
-    auto stream = std::make_unique<Stream>(options_.maxQueuedChunks);
+    auto stream = std::make_unique<Stream>();
     stream->os.open(path_, std::ios::binary | std::ios::trunc);
     ladder_assert(stream->os.good(), "cannot open trace file %s",
                   path_.c_str());
     std::string header =
         format_ == TraceFormat::BinaryV2
-            ? serializeV2Header(options_.chunkRecords, attribution_)
+            ? serializeV2Header(chunkRecords_, attribution_)
             : std::string(attribution_ ? traceCsvHeaderAttr
                                        : traceCsvHeader);
     stream->os.write(header.data(),
@@ -362,9 +349,9 @@ WriteTraceSink::record(const CtrlTraceRecord &r)
         records_.size() +
         stream_->inFlight.load(std::memory_order_relaxed);
     peakBuffered_ = std::max(peakBuffered_, resident);
-    if (records_.size() >= options_.chunkRecords) {
+    if (records_.size() >= chunkRecords_) {
         std::vector<CtrlTraceRecord> chunk;
-        chunk.reserve(options_.chunkRecords);
+        chunk.reserve(chunkRecords_);
         chunk.swap(records_);
         pushChunk(std::move(chunk));
     }
@@ -400,84 +387,9 @@ const std::vector<CtrlTraceRecord> &
 WriteTraceSink::records() const
 {
     ladder_assert(!stream_,
-                  "records() is buffered-mode only (streaming traces "
-                  "live on disk; use TraceReader)");
+                  "records() is for the in-memory collector only (trace "
+                  "files live on disk; use TraceReader)");
     return records_;
-}
-
-void
-WriteTraceSink::setAttribution(bool attribution)
-{
-    ladder_assert(!stream_,
-                  "setAttribution() is buffered-mode only (streaming "
-                  "sinks fix the format at construction)");
-    attribution_ = attribution;
-}
-
-void
-WriteTraceSink::writeCsv(std::ostream &os) const
-{
-    ladder_assert(!stream_, "writeCsv() is buffered-mode only");
-    PROF_SCOPE("trace_flush");
-    if (attribution_)
-        os.write(traceCsvHeaderAttr, sizeof(traceCsvHeaderAttr) - 1);
-    else
-        os.write(traceCsvHeader, sizeof(traceCsvHeader) - 1);
-    std::string row;
-    for (const CtrlTraceRecord &r : records_) {
-        row.clear();
-        appendCsvRow(row, r, attribution_);
-        os.write(row.data(), static_cast<std::streamsize>(row.size()));
-    }
-}
-
-void
-WriteTraceSink::writeBinary(std::ostream &os) const
-{
-    ladder_assert(!stream_, "writeBinary() is buffered-mode only");
-    ladder_assert(!attribution_,
-                  "the v1 binary has no attribution block; use csv "
-                  "or bin2 with trace.attribution");
-    PROF_SCOPE("trace_flush");
-    std::string out(traceFileMagic, sizeof(traceFileMagic));
-    appendU32(out, 1);
-    appendU32(out, static_cast<std::uint32_t>(records_.size()));
-    for (const CtrlTraceRecord &r : records_)
-        appendRecord(out, r, /*attribution=*/false);
-    os.write(out.data(), static_cast<std::streamsize>(out.size()));
-}
-
-void
-WriteTraceSink::writeBinaryV2(std::ostream &os,
-                              std::size_t chunkRecords) const
-{
-    ladder_assert(!stream_, "writeBinaryV2() is buffered-mode only");
-    PROF_SCOPE("trace_flush");
-    ladder_assert(chunkRecords > 0, "writeBinaryV2: zero chunk size");
-    std::string header = serializeV2Header(chunkRecords, attribution_);
-    os.write(header.data(),
-             static_cast<std::streamsize>(header.size()));
-    std::uint64_t offset = header.size();
-    std::vector<ChunkIndexEntry> index;
-    for (std::size_t start = 0; start < records_.size();
-         start += chunkRecords) {
-        std::size_t count =
-            std::min(chunkRecords, records_.size() - start);
-        ChunkIndexEntry entry;
-        entry.offset = offset;
-        entry.records = static_cast<std::uint32_t>(count);
-        std::string chunk = serializeV2Chunk(records_.data() + start,
-                                             count, &entry.crc,
-                                             attribution_);
-        os.write(chunk.data(),
-                 static_cast<std::streamsize>(chunk.size()));
-        offset += chunk.size();
-        index.push_back(entry);
-    }
-    std::string footer =
-        serializeV2Footer(index, records_.size(), offset);
-    os.write(footer.data(),
-             static_cast<std::streamsize>(footer.size()));
 }
 
 } // namespace ladder

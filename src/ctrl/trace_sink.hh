@@ -2,18 +2,17 @@
  * @file
  * Cycle-level event trace sink for the memory controller. Each data
  * write dispatch and each completed demand read appends one fixed
- * record. Two operating modes:
+ * record. Two kinds of sink:
  *
- *  - Buffered (default): records accumulate in memory and are
- *    serialized once at the end of a run — CSV (self-describing,
- *    plottable), the legacy v1 packed binary, or the v2 chunked
- *    binary.
- *  - Streaming: constructed with an output path, the sink appends
+ *  - File sink: constructed with an output path, the sink appends
  *    records into fixed-size chunks that are handed to a background
  *    writer thread over a bounded queue with backpressure, so peak
- *    trace memory is O(chunk size) however long the run is. Streaming
- *    emits CSV or the v2 chunked binary and produces bytes identical
- *    to the buffered serialization of the same record sequence.
+ *    trace memory is O(chunk size) however long the run is. It emits
+ *    CSV or the chunked binary (v2, or v3 with attribution). Every
+ *    trace file is written this way.
+ *  - In-memory collector (default constructor): records accumulate in
+ *    a vector for callers that inspect them through records(); it has
+ *    no serializer.
  *
  * Records are appended from the (single-threaded) event loop of one
  * System, in event order, so a trace is deterministic for a given run
@@ -40,7 +39,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -84,7 +82,7 @@ struct CtrlTraceRecord
     WriteAttribution attr{};     //!< serialized in v3 / attr CSV only
 };
 
-/** Serialized size of one record in v1/v2 binary traces. */
+/** Serialized size of one record in v2 binary traces. */
 inline constexpr std::size_t traceRecordBytes = 24;
 
 /**
@@ -94,8 +92,8 @@ inline constexpr std::size_t traceRecordBytes = 24;
  */
 inline constexpr std::size_t traceAttrRecordBytes = 56;
 
-/** On-disk trace encodings ("csv", "bin", "bin2" on command lines). */
-enum class TraceFormat { Csv, BinaryV1, BinaryV2 };
+/** On-disk trace encodings ("csv", "bin2" on command lines). */
+enum class TraceFormat { Csv, BinaryV2 };
 
 /** Parse a trace-format= value; fatal() on an unknown name. */
 TraceFormat traceFormatFromName(const std::string &name);
@@ -103,36 +101,29 @@ TraceFormat traceFormatFromName(const std::string &name);
 /** File name extension for a format ("csv" or "bin"). */
 std::string traceFormatExtension(TraceFormat format);
 
-/** Knobs for the streaming mode. */
-struct TraceStreamOptions
+/** Trace file writer / in-memory collector (see @file). */
+class WriteTraceSink
 {
-    /** Records per chunk (chunk = unit of buffering and flushing). */
-    std::size_t chunkRecords = 64 * 1024;
+  public:
     /**
      * Bounded-queue capacity in chunks between the simulation thread
      * and the writer thread; when full, record() blocks
      * (backpressure) instead of growing the buffer.
      */
-    std::size_t maxQueuedChunks = 4;
-};
+    static constexpr std::size_t queueCapacityChunks = 4;
 
-/** Trace buffer with buffered and streaming operation (see @file). */
-class WriteTraceSink
-{
-  public:
-    /** Buffered mode: keep everything in memory until serialized. */
+    /** In-memory collector: keep every record for records(). */
     WriteTraceSink();
 
     /**
-     * Streaming mode: open @p path (truncating) and flush chunks of
-     * records to it from a background writer thread as the run
-     * progresses. @p format must be Csv or BinaryV2 — the v1 binary
-     * header carries the total record count up front and cannot be
-     * streamed. Call finish() (or let the destructor) to flush the
-     * final partial chunk and the v2 footer.
+     * File sink: open @p path (truncating) and flush chunks of
+     * @p chunkRecords records to it from a background writer thread
+     * as the run progresses. @p attribution selects the blame block
+     * (CSV attribution columns / binary v3). Call finish() (or let the
+     * destructor) to flush the final partial chunk and the footer.
      */
     WriteTraceSink(const std::string &path, TraceFormat format,
-                   const TraceStreamOptions &options = {},
+                   std::size_t chunkRecords,
                    bool attribution = false);
 
     ~WriteTraceSink();
@@ -146,67 +137,37 @@ class WriteTraceSink
     std::size_t size() const { return total_; }
 
     /**
-     * Drop everything recorded so far. In streaming mode the output
-     * file is truncated and restarted, so the ramp records a run
-     * discards never reach the final trace.
+     * Drop everything recorded so far. A file sink truncates and
+     * restarts its output file, so the ramp records a run discards
+     * never reach the final trace.
      */
     void clear();
 
-    bool streaming() const { return stream_ != nullptr; }
-
-    /**
-     * Whether serializations carry the per-record blame block (CSV
-     * attribution columns / binary v3). Streaming sinks fix this at
-     * construction (the header is written up front); buffered sinks
-     * may toggle it any time before serialization.
-     */
-    bool attribution() const { return attribution_; }
-
-    /** Buffered mode only: select attribution serialization. */
-    void setAttribution(bool attribution);
-
-    /** Streaming output path (empty in buffered mode). */
+    /** Output path (empty for the in-memory collector). */
     const std::string &path() const { return path_; }
 
     /**
-     * Streaming mode: flush the final partial chunk, write the v2
-     * footer, join the writer thread, and close the file. Idempotent;
-     * record() must not be called afterwards. Buffered mode: no-op.
+     * File sink: flush the final partial chunk, write the v2 footer,
+     * join the writer thread, and close the file. Idempotent;
+     * record() must not be called afterwards. In-memory collector:
+     * no-op.
      */
     void finish();
 
     /**
      * High-water mark of records resident in this sink at any instant
-     * (buffered mode: the full buffer; streaming mode: the fill chunk
-     * plus queued and in-flight chunks). The bounded-memory guarantee
-     * is `peak <= chunkRecords * (maxQueuedChunks + 2)` in streaming
-     * mode, which tests assert.
+     * (collector: the full buffer; file sink: the fill chunk plus
+     * queued and in-flight chunks). The bounded-memory guarantee is
+     * `peak <= chunkRecords * (queueCapacityChunks + 2)` for a file sink,
+     * which tests assert.
      */
     std::size_t peakBufferedRecords() const
     {
         return peakBuffered_;
     }
 
-    /** Buffered-mode record access (asserts in streaming mode). */
+    /** In-memory collector record access (asserts for a file sink). */
     const std::vector<CtrlTraceRecord> &records() const;
-
-    /** Write `type,tick,channel,wordline,bitline,...` CSV rows. */
-    void writeCsv(std::ostream &os) const;
-
-    /**
-     * Write the legacy packed v1 binary: a 16-byte header
-     * ("LADDRTRC", u32 version=1, u32 record count) followed by the
-     * records in the fixed little-endian layout.
-     */
-    void writeBinary(std::ostream &os) const;
-
-    /**
-     * Write the v2 chunked binary with @p chunkRecords records per
-     * chunk — byte-identical to what a streaming sink with the same
-     * chunk size would emit for the same record sequence.
-     */
-    void writeBinaryV2(std::ostream &os,
-                       std::size_t chunkRecords) const;
 
   private:
     struct Stream;
@@ -215,11 +176,11 @@ class WriteTraceSink
     void pushChunk(std::vector<CtrlTraceRecord> &&chunk);
     void stopStream(bool writeFooter);
 
-    std::string path_;          //!< streaming only
+    std::string path_;          //!< file sink only
     TraceFormat format_ = TraceFormat::Csv;
-    TraceStreamOptions options_{};
+    std::size_t chunkRecords_ = 0; //!< file sink only
     bool attribution_ = false;
-    std::unique_ptr<Stream> stream_; //!< non-null in streaming mode
+    std::unique_ptr<Stream> stream_; //!< non-null for a file sink
 
     std::vector<CtrlTraceRecord> records_; //!< buffer / fill chunk
     std::size_t total_ = 0;

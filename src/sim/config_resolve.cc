@@ -170,21 +170,20 @@ registerExperimentParams(Registry &reg)
                   "('' = off)")
         .inManifest = false;
     reg.addChoice("trace-format", LADDER_FIELD(traceFormat),
-                  "Trace encoding", {"csv", "bin", "bin2"});
-    reg.addBool("trace-stream", LADDER_FIELD(traceStream),
-                "Stream traces to disk during the run in bounded "
-                "memory (csv/bin2 only)");
+                  "Trace encoding (streamed to disk during the run)",
+                  {"csv", "bin2"});
     reg.addBool("trace.attribution",
                 LADDER_FIELD(system.controller.attribution),
-                "Per-write causal blame decomposition: v3 trace "
-                "records, blame stats/histograms, and live blame-rate "
-                "counters (csv/bin2 traces only; off = byte-identical "
+                "Per-write causal blame decomposition: v3 bin2 trace "
+                "records or csv blame columns, blame stats/histograms, "
+                "and live blame-rate counters (off = byte-identical "
                 "legacy outputs)")
         .inManifest = false;
     reg.addInt<std::uint64_t>(
         "trace-chunk", LADDER_FIELD(traceChunkRecords),
-        "Records per streamed/bin2 trace chunk", 1,
-        std::uint64_t(1) << 30);
+        "Records per trace chunk (unit of streaming and the bin2 "
+        "chunk capacity)",
+        1, std::uint64_t(1) << 30);
     reg.addInt<std::uint64_t>(
         "epoch-cycles", LADDER_FIELD(epochCycles),
         "Core cycles per epoch stat snapshot (0 = no epoch series)");

@@ -93,26 +93,15 @@ makeTraceSink(SchemeKind scheme, const std::string &workload,
 {
     if (config.traceOutDir.empty())
         return nullptr;
-    const bool attribution = config.system.controller.attribution;
-    if (attribution && config.traceFormat == "bin")
-        fatal("trace.attribution=1 requires trace-format csv or bin2 "
-              "(the v1 binary has no attribution block)");
-    if (!config.traceStream) {
-        auto sink = std::make_unique<WriteTraceSink>();
-        sink->setAttribution(attribution);
-        return sink;
-    }
-    // Streaming mode opens the (unique, per-cell) output file up
-    // front and flushes chunks while the run executes.
+    // The (unique, per-cell) output file opens up front and chunks
+    // flush to it while the run executes.
     std::filesystem::path path =
         traceFilePath(config, scheme, workload);
     std::filesystem::create_directories(path.parent_path());
-    TraceStreamOptions options;
-    options.chunkRecords =
-        static_cast<std::size_t>(config.traceChunkRecords);
     return std::make_unique<WriteTraceSink>(
         path.string(), traceFormatFromName(config.traceFormat),
-        options, attribution);
+        static_cast<std::size_t>(config.traceChunkRecords),
+        config.system.controller.attribution);
 }
 
 /**

@@ -92,18 +92,14 @@ struct ExperimentConfig
      * trace to `<traceOutDir>/<scheme>__<workload>/trace.<ext>`.
      */
     std::string traceOutDir;
-    std::string traceFormat = "csv"; //!< "csv", "bin" (v1), "bin2"
     /**
-     * Stream each run's trace to disk *while it executes* through a
-     * bounded queue and a background writer thread, instead of
-     * buffering every record until the end: peak trace memory becomes
-     * O(traceChunkRecords) regardless of run length, and the emitted
-     * bytes are identical to the buffered serialization. Requires
-     * traceFormat "csv" or "bin2" (the v1 header needs the total
-     * record count up front).
+     * "csv" or "bin2". Either way the trace streams to disk while the
+     * run executes, through a bounded queue and a background writer
+     * thread, so peak trace memory is O(traceChunkRecords) however
+     * long the run is.
      */
-    bool traceStream = false;
-    /** Records per chunk for streaming and the "bin2" format. */
+    std::string traceFormat = "csv";
+    /** Records per trace chunk (unit of buffering and flushing). */
     std::uint64_t traceChunkRecords = 64 * 1024;
     /** Core cycles per stat snapshot (0 = no epoch series). */
     std::uint64_t epochCycles = 0;
@@ -179,11 +175,10 @@ SystemConfig makeSystemConfig(SchemeKind scheme,
 
 /**
  * Build the per-run trace sink for one (scheme, workload) cell:
- * nullptr when tracing is off, a buffered sink (serialized by
- * exportRun after the run) by default, or — with config.traceStream —
- * a streaming sink that flushes chunks to the unique per-cell trace
- * path while the run executes. Callers owning the run loop must call
- * finish() on a streaming sink before exportRun.
+ * nullptr when tracing is off, otherwise a file sink that flushes
+ * chunks to the unique per-cell trace path while the run executes.
+ * Callers owning the run loop must call finish() on it before
+ * exportRun.
  */
 std::unique_ptr<WriteTraceSink>
 makeTraceSink(SchemeKind scheme, const std::string &workload,

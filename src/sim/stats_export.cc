@@ -286,37 +286,12 @@ exportRun(const ExperimentConfig &config, SchemeKind scheme,
     }
 
     if (!config.traceOutDir.empty() && trace) {
-        if (trace->streaming()) {
-            // Streamed incrementally during the run; runOne already
-            // called finish(), so the file on disk is complete.
-            ladder_assert(
-                trace->path() ==
-                    traceFilePath(config, scheme, workload).string(),
-                "streaming trace path drifted from the canonical "
-                "per-cell path");
-        } else {
-            TraceFormat format =
-                traceFormatFromName(config.traceFormat);
-            std::filesystem::path path =
-                traceFilePath(config, scheme, workload);
-            std::filesystem::create_directories(path.parent_path());
-            std::ofstream os(path, std::ios::binary);
-            ladder_assert(os.good(), "cannot write %s",
-                          path.string().c_str());
-            switch (format) {
-            case TraceFormat::Csv:
-                trace->writeCsv(os);
-                break;
-            case TraceFormat::BinaryV1:
-                trace->writeBinary(os);
-                break;
-            case TraceFormat::BinaryV2:
-                trace->writeBinaryV2(
-                    os, static_cast<std::size_t>(
-                            config.traceChunkRecords));
-                break;
-            }
-        }
+        // Streamed during the run; the caller already called finish(),
+        // so the file on disk is complete.
+        ladder_assert(trace->path() ==
+                          traceFilePath(config, scheme, workload).string(),
+                      "trace path drifted from the canonical per-cell "
+                      "path");
     }
 }
 

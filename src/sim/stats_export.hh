@@ -85,9 +85,10 @@ std::string runDirName(SchemeKind scheme, const std::string &workload);
 /**
  * The unique per-cell trace file path
  * `<config.traceOutDir>/<scheme>__<workload>/trace.<csv|bin>`
- * (extension from config.traceFormat). Pure derivation — directories
- * are not created. Distinct (scheme, workload) cells always map to
- * distinct paths, so parallel sweep cells can stream traces
+ * ("bin" for trace-format=bin2). Pure derivation — directories are
+ * not created. makeTraceSink opens this path and exportRun asserts
+ * the sink wrote to it. Distinct (scheme, workload) cells always map
+ * to distinct paths, so parallel sweep cells can stream traces
  * concurrently without colliding (gated by test_parallel_determinism).
  */
 std::filesystem::path traceFilePath(const ExperimentConfig &config,
@@ -106,10 +107,11 @@ void writeManifestFields(JsonWriter &json, const RunManifest &manifest);
 void writeResultJson(JsonWriter &json, const SimResult &result);
 
 /**
- * Write `<config.statsJsonDir>/<run>/stats.json` (when statsJsonDir
- * is set) and `<config.traceOutDir>/<run>/trace.{csv,bin}` (when
- * traceOutDir is set and @p trace is non-null). Directories are
- * created as needed. No-op when neither output is enabled.
+ * Write `<config.statsJsonDir>/<run>/stats.json` when statsJsonDir is
+ * set, creating directories as needed. The trace file was already
+ * streamed by @p trace (finished by the caller); when traceOutDir is
+ * set and @p trace is non-null, this only asserts that the sink wrote
+ * to traceFilePath().
  */
 void exportRun(const ExperimentConfig &config, SchemeKind scheme,
                const std::string &workload, const System &system,

@@ -24,6 +24,7 @@
 #include "ctrl/trace_sink.hh"
 #include "sim/experiment.hh"
 #include "sim/stats_export.hh"
+#include "stream_trace.hh"
 
 namespace fs = std::filesystem;
 
@@ -44,7 +45,6 @@ quickConfig()
 
 TEST(TraceSink, CsvAndBinaryRoundTrip)
 {
-    WriteTraceSink sink;
     CtrlTraceRecord w;
     w.tick = 123456789;
     w.kind = CtrlTraceRecord::Kind::Write;
@@ -54,17 +54,12 @@ TEST(TraceSink, CsvAndBinaryRoundTrip)
     w.lrsCount = 77;
     w.latencyNs = 213.5f;
     w.queueDepth = 9;
-    sink.record(w);
     CtrlTraceRecord r;
     r.tick = 123456999;
     r.kind = CtrlTraceRecord::Kind::Read;
     r.latencyNs = 41.25f;
-    sink.record(r);
-    ASSERT_EQ(sink.size(), 2u);
 
-    std::ostringstream csv;
-    sink.writeCsv(csv);
-    std::string text = csv.str();
+    std::string text = streamTrace({w, r}, TraceFormat::Csv, 64);
     EXPECT_NE(text.find("type,tick,channel,wordline,bitline,lrs_count,"
                         "latency_ns,queue_depth"),
               std::string::npos);
@@ -73,22 +68,28 @@ TEST(TraceSink, CsvAndBinaryRoundTrip)
     EXPECT_NE(text.find("R,123456999,0,0,0,0,41.250,0"),
               std::string::npos);
 
-    std::ostringstream bin;
-    sink.writeBinary(bin);
-    std::string bytes = bin.str();
-    // 16-byte header + 24 bytes per record.
-    ASSERT_EQ(bytes.size(), 16u + 2u * 24u);
+    std::string bytes = streamTrace({w, r}, TraceFormat::BinaryV2, 64);
+    // 16-byte header + one 12-byte chunk header + 24 bytes per record
+    // + 36-byte footer (one index entry) + 16-byte trailer.
+    ASSERT_EQ(bytes.size(), 16u + 12u + 2u * 24u + 36u + 16u);
     EXPECT_EQ(bytes.substr(0, 8), "LADDRTRC");
-    // Version 1, count 2 (little endian).
-    EXPECT_EQ(static_cast<unsigned char>(bytes[8]), 1u);
-    EXPECT_EQ(static_cast<unsigned char>(bytes[12]), 2u);
-    // First record starts with the 64-bit tick, little endian.
+    // Version 2, chunk capacity 64 (little endian).
+    EXPECT_EQ(static_cast<unsigned char>(bytes[8]), 2u);
+    EXPECT_EQ(static_cast<unsigned char>(bytes[12]), 64u);
+    EXPECT_EQ(bytes.substr(16, 4), "CHNK");
+    // Record count 2, then the first record starts with the 64-bit
+    // tick, little endian.
+    EXPECT_EQ(static_cast<unsigned char>(bytes[20]), 2u);
     std::uint64_t tick = 0;
     for (int i = 7; i >= 0; --i)
         tick = (tick << 8) |
-               static_cast<unsigned char>(bytes[16 + i]);
+               static_cast<unsigned char>(bytes[28 + i]);
     EXPECT_EQ(tick, 123456789u);
 
+    WriteTraceSink sink;
+    sink.record(w);
+    sink.record(r);
+    ASSERT_EQ(sink.size(), 2u);
     sink.clear();
     EXPECT_EQ(sink.size(), 0u);
 }
@@ -253,46 +254,37 @@ TEST(StatsExport, ByteIdenticalAcrossJobCounts)
     fs::remove_all(base);
 }
 
-TEST(StatsExport, StreamingTracesMatchBufferedAtAnyJobCount)
+TEST(StatsExport, StreamedTracesMatchAtAnyJobCount)
 {
     // The headline streaming guarantee: for a given config, the trace
-    // bytes on disk are identical whether the sink buffered the whole
-    // run or streamed fixed-size chunks from a background writer —
-    // and identical again at any sweep parallelism.
+    // bytes a background writer streams to disk in fixed-size chunks
+    // are identical at any sweep parallelism.
     std::vector<SchemeKind> schemes = {SchemeKind::Baseline,
                                        SchemeKind::LadderHybrid};
     std::vector<std::string> workloads = {"lbm", "astar"};
 
     fs::path base = fs::path(::testing::TempDir()) / "ladder_stream";
     fs::remove_all(base);
-    auto sweep = [&](bool stream, unsigned jobs,
-                     const fs::path &dir) {
+    auto sweep = [&](unsigned jobs, const fs::path &dir) {
         ExperimentConfig cfg = quickConfig();
         cfg.jobs = jobs;
         cfg.traceOutDir = (dir / "trace").string();
         cfg.traceFormat = "bin2";
-        cfg.traceStream = stream;
         // Small chunks force many flush boundaries per run.
         cfg.traceChunkRecords = 64;
         runMatrixParallel(schemes, workloads, cfg);
     };
-    sweep(false, 1, base / "buffered");
-    sweep(true, 1, base / "stream1");
-    sweep(true, 8, base / "stream8");
+    sweep(1, base / "stream1");
+    sweep(8, base / "stream8");
 
-    auto buffered = slurpTree(base / "buffered");
     auto stream1 = slurpTree(base / "stream1");
     auto stream8 = slurpTree(base / "stream8");
-    ASSERT_EQ(buffered.size(), 4u);
-    ASSERT_EQ(stream1.size(), buffered.size());
-    ASSERT_EQ(stream8.size(), buffered.size());
-    for (const auto &[rel, bytes] : buffered) {
-        ASSERT_TRUE(stream1.count(rel)) << rel;
+    ASSERT_EQ(stream1.size(), 4u);
+    ASSERT_EQ(stream8.size(), stream1.size());
+    for (const auto &[rel, bytes] : stream1) {
         ASSERT_TRUE(stream8.count(rel)) << rel;
-        EXPECT_EQ(bytes, stream1.at(rel))
-            << rel << " differs between buffered and streaming";
         EXPECT_EQ(bytes, stream8.at(rel))
-            << rel << " differs between jobs=1 and jobs=8 streaming";
+            << rel << " differs between jobs=1 and jobs=8";
         // And every streamed file is a valid v2 trace.
         TraceReader reader;
         ASSERT_TRUE(reader.openBuffer(bytes)) << reader.error();

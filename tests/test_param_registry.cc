@@ -180,14 +180,18 @@ TEST(ParamRegistry, NonNumericValueIsRejected)
               std::string::npos);
     EXPECT_NE(errorOf({"cache-scale=fast"}).find("not a number"),
               std::string::npos);
-    EXPECT_NE(errorOf({"trace-stream=maybe"}).find("not a boolean"),
+    EXPECT_NE(errorOf({"mna=maybe"}).find("not a boolean"),
               std::string::npos);
 }
 
 TEST(ParamRegistry, BadChoiceSuggests)
 {
     std::string what = errorOf({"trace-format=binx"});
-    EXPECT_NE(what.find("{csv|bin|bin2}"), std::string::npos) << what;
+    EXPECT_NE(what.find("{csv|bin2}"), std::string::npos) << what;
+    // A v1 'bin' request fails loudly instead of writing another
+    // format.
+    what = errorOf({"trace-format=bin"});
+    EXPECT_NE(what.find("{csv|bin2}"), std::string::npos) << what;
 
     what = errorOf({"fnw-mode=clasical"});
     EXPECT_NE(what.find("did you mean 'classical'?"),
@@ -555,7 +559,7 @@ TEST(ParamRegistry, SweepCellsParseValidateAndStringify)
         " \"cells\": [\n"
         "  {\"scheme\": \"baseline\", \"workload\": \"lbm\",\n"
         "   \"params\": {\"epoch-cycles\": 5000,\n"
-        "               \"trace-stream\": true}},\n"
+        "               \"mna\": true}},\n"
         "  {\"workload\": \"kv-log\",\n"
         "   \"params\": {\"trace-chunk\": 128}}\n"
         " ]}\n");

@@ -34,6 +34,7 @@
 #include "sim/stats_export.hh"
 #include "trace/extern_trace.hh"
 #include "trace/workload_frontend.hh"
+#include "stream_trace.hh"
 
 #ifndef LADDER_DATA_DIR
 #error "LADDER_DATA_DIR must point at the committed tests/data files"
@@ -102,18 +103,6 @@ randomCtrlRecords(std::size_t count, std::uint64_t seed)
         records.push_back(r);
     }
     return records;
-}
-
-std::string
-serializeBin2(const std::vector<CtrlTraceRecord> &records,
-              std::size_t chunkRecords)
-{
-    WriteTraceSink sink;
-    for (const auto &r : records)
-        sink.record(r);
-    std::ostringstream os;
-    sink.writeBinaryV2(os, chunkRecords);
-    return os.str();
 }
 
 std::string
@@ -247,7 +236,7 @@ TEST(ExternParse, Dramsim3EveryTruncationNeverCrashes)
 TEST(ExternParse, Bin2RoundTripAndAutoDetect)
 {
     auto records = randomCtrlRecords(100, 0xB1);
-    std::string bytes = serializeBin2(records, 16);
+    std::string bytes = streamTrace(records, TraceFormat::BinaryV2, 16);
     ExternParseResult result =
         parseExternTrace(bytes, ExternTraceFormat::Auto);
     ASSERT_TRUE(result.ok()) << result.error;
@@ -273,7 +262,7 @@ TEST(ExternParse, Bin2RoundTripAndAutoDetect)
 TEST(ExternParse, Bin2EveryTruncationIsAnError)
 {
     auto records = randomCtrlRecords(20, 0xB2);
-    std::string whole = serializeBin2(records, 8);
+    std::string whole = streamTrace(records, TraceFormat::BinaryV2, 8);
     for (std::size_t len = 0; len < whole.size(); ++len) {
         ExternParseResult result = parseExternTrace(
             whole.substr(0, len), ExternTraceFormat::Auto);
@@ -287,7 +276,7 @@ TEST(ExternParse, Bin2EveryTruncationIsAnError)
 TEST(ExternParse, Bin2EveryByteFlipIsDetectedOrHarmless)
 {
     auto records = randomCtrlRecords(20, 0xB3);
-    std::string whole = serializeBin2(records, 8);
+    std::string whole = streamTrace(records, TraceFormat::BinaryV2, 8);
     for (std::size_t pos = 0; pos < whole.size(); ++pos) {
         std::string flipped = whole;
         flipped[pos] ^= 0x01;
@@ -316,7 +305,8 @@ TEST(ExternParse, MixedFormatConfusionIsRejected)
         parseExternTrace(text, ExternTraceFormat::Bin2).ok());
 
     // bin2 bytes forced through the text parser.
-    std::string bin2 = serializeBin2(randomCtrlRecords(10, 0xC2), 4);
+    std::string bin2 = streamTrace(randomCtrlRecords(10, 0xC2),
+                                   TraceFormat::BinaryV2, 4);
     EXPECT_FALSE(
         parseExternTrace(bin2, ExternTraceFormat::Dramsim3).ok());
 
@@ -446,7 +436,7 @@ TEST(ExternSource, LrsContentSynthesisTracksRecordedCounts)
         records.push_back(r);
     }
     auto parsed = std::make_shared<ExternParseResult>(
-        parseExternTrace(serializeBin2(records, 4),
+        parseExternTrace(streamTrace(records, TraceFormat::BinaryV2, 4),
                          ExternTraceFormat::Bin2));
     ASSERT_TRUE(parsed->ok()) << parsed->error;
     ExternTraceOptions opts;

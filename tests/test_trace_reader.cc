@@ -1,13 +1,12 @@
 /**
  * @file
  * Round-trip and robustness tests for the TraceReader library and the
- * streaming trace sink. The contract under test: every byte sequence
- * — valid traces in all three encodings, truncations, bit flips,
- * random garbage — is either parsed exactly or rejected with
+ * trace file sink. The contract under test: every byte sequence —
+ * valid traces in every encoding the sink writes, truncations, bit
+ * flips, random garbage — is either parsed exactly or rejected with
  * ok() == false, never a crash or undefined behaviour (the CI
- * ASan/UBSan job runs this binary), and the streaming sink emits
- * byte-identical output to the buffered serializers while holding at
- * most O(chunk) records in memory.
+ * ASan/UBSan job runs this binary), and the sink holds at most
+ * O(chunk) records in memory however long the trace is.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +22,7 @@
 #include "ctrl/trace_reader.hh"
 #include "ctrl/trace_sink.hh"
 #include "ctrl/trace_wire.hh"
+#include "stream_trace.hh"
 
 namespace fs = std::filesystem;
 
@@ -135,79 +135,6 @@ expectReadsBack(TraceReader &reader,
     EXPECT_EQ(reader.recordsRead(), expected.size());
 }
 
-std::string
-serializeV1(const std::vector<CtrlTraceRecord> &records)
-{
-    WriteTraceSink sink;
-    for (const auto &r : records)
-        sink.record(r);
-    std::ostringstream os;
-    sink.writeBinary(os);
-    return os.str();
-}
-
-std::string
-serializeV3(const std::vector<CtrlTraceRecord> &records,
-            std::size_t chunkRecords)
-{
-    WriteTraceSink sink;
-    sink.setAttribution(true);
-    for (const auto &r : records)
-        sink.record(r);
-    std::ostringstream os;
-    sink.writeBinaryV2(os, chunkRecords);
-    return os.str();
-}
-
-std::string
-serializeCsvAttr(const std::vector<CtrlTraceRecord> &records)
-{
-    WriteTraceSink sink;
-    sink.setAttribution(true);
-    for (const auto &r : records)
-        sink.record(r);
-    std::ostringstream os;
-    sink.writeCsv(os);
-    return os.str();
-}
-
-std::string
-serializeV2(const std::vector<CtrlTraceRecord> &records,
-            std::size_t chunkRecords)
-{
-    WriteTraceSink sink;
-    for (const auto &r : records)
-        sink.record(r);
-    std::ostringstream os;
-    sink.writeBinaryV2(os, chunkRecords);
-    return os.str();
-}
-
-std::string
-serializeCsv(const std::vector<CtrlTraceRecord> &records)
-{
-    WriteTraceSink sink;
-    for (const auto &r : records)
-        sink.record(r);
-    std::ostringstream os;
-    sink.writeCsv(os);
-    return os.str();
-}
-
-TEST(TraceReader, V1RoundTrip)
-{
-    auto records = randomRecords(257, 0xA1);
-    TraceReader reader;
-    ASSERT_TRUE(reader.openBuffer(serializeV1(records)))
-        << reader.error();
-    EXPECT_EQ(reader.format(), TraceFormat::BinaryV1);
-    EXPECT_EQ(reader.version(), 1u);
-    EXPECT_TRUE(reader.knownTotal());
-    EXPECT_EQ(reader.totalRecords(), records.size());
-    EXPECT_EQ(reader.chunkCount(), 0u);
-    expectReadsBack(reader, records);
-}
-
 TEST(TraceReader, V2RoundTripAcrossChunkGeometries)
 {
     // Partial tail, exact multiple, single oversize chunk, chunk=1.
@@ -218,8 +145,8 @@ TEST(TraceReader, V2RoundTripAcrossChunkGeometries)
     for (const auto &c : cases) {
         auto records = randomRecords(c.count, 0xB000 + c.count);
         TraceReader reader;
-        ASSERT_TRUE(
-            reader.openBuffer(serializeV2(records, c.chunk)))
+        ASSERT_TRUE(reader.openBuffer(
+            streamTrace(records, TraceFormat::BinaryV2, c.chunk)))
             << reader.error() << " count=" << c.count;
         EXPECT_EQ(reader.format(), TraceFormat::BinaryV2);
         EXPECT_EQ(reader.version(), 2u);
@@ -234,7 +161,8 @@ TEST(TraceReader, CsvRoundTrip)
 {
     auto records = randomRecords(97, 0xC5);
     TraceReader reader;
-    ASSERT_TRUE(reader.openBuffer(serializeCsv(records)))
+    ASSERT_TRUE(
+        reader.openBuffer(streamTrace(records, TraceFormat::Csv, 64)))
         << reader.error();
     EXPECT_EQ(reader.format(), TraceFormat::Csv);
     EXPECT_EQ(reader.version(), 0u);
@@ -246,8 +174,8 @@ TEST(TraceReader, EmptyTracesRoundTrip)
 {
     const std::vector<CtrlTraceRecord> none;
     for (const std::string &bytes :
-         {serializeV1(none), serializeV2(none, 64),
-          serializeCsv(none)}) {
+         {streamTrace(none, TraceFormat::BinaryV2, 64),
+          streamTrace(none, TraceFormat::Csv, 64)}) {
         TraceReader reader;
         ASSERT_TRUE(reader.openBuffer(bytes)) << reader.error();
         CtrlTraceRecord rec;
@@ -261,7 +189,8 @@ TEST(TraceReader, V2ChunkIndexAndSeek)
 {
     const std::size_t chunk = 16;
     auto records = randomRecords(100, 0xD7);
-    std::string bytes = serializeV2(records, chunk);
+    std::string bytes =
+        streamTrace(records, TraceFormat::BinaryV2, chunk);
     TraceReader reader;
     ASSERT_TRUE(reader.openBuffer(bytes)) << reader.error();
     ASSERT_EQ(reader.chunkCount(), 7u);
@@ -294,27 +223,26 @@ TEST(TraceReader, V2ChunkIndexAndSeek)
 TEST(TraceReader, EveryTruncationIsAnErrorNotACrash)
 {
     auto records = randomRecords(20, 0xE1);
-    for (const std::string &whole :
-         {serializeV1(records), serializeV2(records, 8)}) {
-        for (std::size_t len = 0; len < whole.size(); ++len) {
-            TraceReader reader;
-            reader.openBuffer(whole.substr(0, len));
-            // Drain anyway — truncation must never turn into an
-            // endless or crashing iteration either.
-            CtrlTraceRecord rec;
-            while (reader.next(rec)) {
-            }
-            EXPECT_FALSE(reader.ok())
-                << "truncation to " << len << " of " << whole.size()
-                << " bytes was not reported as an error";
+    const std::string whole =
+        streamTrace(records, TraceFormat::BinaryV2, 8);
+    for (std::size_t len = 0; len < whole.size(); ++len) {
+        TraceReader reader;
+        reader.openBuffer(whole.substr(0, len));
+        // Drain anyway — truncation must never turn into an endless
+        // or crashing iteration either.
+        CtrlTraceRecord rec;
+        while (reader.next(rec)) {
         }
+        EXPECT_FALSE(reader.ok())
+            << "truncation to " << len << " of " << whole.size()
+            << " bytes was not reported as an error";
     }
 }
 
 TEST(TraceReader, CsvTruncationAndMalformedRowsError)
 {
     auto records = randomRecords(5, 0xE2);
-    std::string whole = serializeCsv(records);
+    std::string whole = streamTrace(records, TraceFormat::Csv, 64);
     // Truncating mid-row (not at a line boundary) must error.
     std::size_t lastNewline = whole.find_last_of('\n', whole.size() - 2);
     TraceReader reader;
@@ -352,8 +280,7 @@ TEST(TraceReader, CsvTruncationAndMalformedRowsError)
 TEST(TraceReader, BadMagicAndVersionError)
 {
     auto records = randomRecords(4, 0xE3);
-    std::string v1 = serializeV1(records);
-    std::string v2 = serializeV2(records, 8);
+    std::string v2 = streamTrace(records, TraceFormat::BinaryV2, 8);
 
     std::string badMagic = v2;
     badMagic[3] ^= 0x40;
@@ -361,26 +288,22 @@ TEST(TraceReader, BadMagicAndVersionError)
     EXPECT_FALSE(reader.openBuffer(badMagic));
     EXPECT_FALSE(reader.ok());
 
-    std::string badVersion = v2;
-    badVersion[8] = 99; // version 99 does not exist (3 = attribution)
-    TraceReader r2;
-    EXPECT_FALSE(r2.openBuffer(badVersion));
-    EXPECT_NE(r2.error().find("version"), std::string::npos)
-        << r2.error();
-
-    // v1 with trailing garbage is rejected by the exact-size check.
-    TraceReader r3;
-    r3.openBuffer(v1 + "x");
-    CtrlTraceRecord rec;
-    while (r3.next(rec)) {
+    // Only versions 2 and 3 (attribution) are read: 99 never existed
+    // and 1 is the packed layout without a chunk index.
+    for (unsigned version : {99u, 1u}) {
+        std::string badVersion = v2;
+        badVersion[8] = static_cast<char>(version);
+        TraceReader r2;
+        EXPECT_FALSE(r2.openBuffer(badVersion));
+        EXPECT_EQ(r2.error(),
+                  "unsupported trace version " + std::to_string(version));
     }
-    EXPECT_FALSE(r3.ok());
 }
 
 TEST(TraceReader, EveryV2ByteFlipIsDetectedOrHarmless)
 {
     auto records = randomRecords(20, 0xE4);
-    std::string whole = serializeV2(records, 8);
+    std::string whole = streamTrace(records, TraceFormat::BinaryV2, 8);
     for (std::size_t pos = 0; pos < whole.size(); ++pos) {
         std::string flipped = whole;
         flipped[pos] ^= 0x01;
@@ -426,7 +349,7 @@ TEST(TraceReader, RandomGarbageNeverCrashes)
     }
 }
 
-TEST(TraceStream, BoundedMemoryByteIdenticalToBuffered)
+TEST(TraceStream, BoundedMemoryAndReadsBack)
 {
     const std::size_t chunk = 64;
     const std::size_t count = chunk * 12 + 5; // >= 10 chunks
@@ -434,50 +357,28 @@ TEST(TraceStream, BoundedMemoryByteIdenticalToBuffered)
 
     fs::path dir = fs::path(::testing::TempDir()) / "ladder_stream";
     fs::create_directories(dir);
-    fs::path binPath = dir / "stream.bin";
-    fs::path csvPath = dir / "stream.csv";
-
-    TraceStreamOptions options;
-    options.chunkRecords = chunk;
-    {
-        WriteTraceSink sink(binPath.string(), TraceFormat::BinaryV2,
-                            options);
-        ASSERT_TRUE(sink.streaming());
-        for (const auto &r : records)
-            sink.record(r);
-        sink.finish();
-        EXPECT_EQ(sink.size(), count);
-        // The bounded-memory guarantee: the fill chunk plus queued
-        // plus in-flight chunks, never the whole trace.
-        EXPECT_LE(sink.peakBufferedRecords(),
-                  chunk * (options.maxQueuedChunks + 2));
+    for (TraceFormat format : {TraceFormat::BinaryV2, TraceFormat::Csv}) {
+        fs::path path = dir / ("stream." + traceFormatExtension(format));
+        {
+            WriteTraceSink sink(path.string(), format, chunk);
+            for (const auto &r : records)
+                sink.record(r);
+            sink.finish();
+            EXPECT_EQ(sink.size(), count);
+            // The bounded-memory guarantee: the fill chunk plus queued
+            // plus in-flight chunks, never the whole trace.
+            EXPECT_LE(sink.peakBufferedRecords(),
+                      chunk * (WriteTraceSink::queueCapacityChunks + 2));
+        }
+        // And the streamed file reads back exactly.
+        TraceReader reader;
+        ASSERT_TRUE(reader.open(path.string())) << reader.error();
+        if (format == TraceFormat::BinaryV2) {
+            EXPECT_GE(reader.chunkCount(), 10u);
+        }
+        expectReadsBack(reader, records,
+                        /*exactLatency=*/format != TraceFormat::Csv);
     }
-    {
-        WriteTraceSink sink(csvPath.string(), TraceFormat::Csv,
-                            options);
-        for (const auto &r : records)
-            sink.record(r);
-        sink.finish();
-        EXPECT_LE(sink.peakBufferedRecords(),
-                  chunk * (options.maxQueuedChunks + 2));
-    }
-
-    auto slurp = [](const fs::path &p) {
-        std::ifstream is(p, std::ios::binary);
-        std::ostringstream os;
-        os << is.rdbuf();
-        return os.str();
-    };
-    EXPECT_EQ(slurp(binPath), serializeV2(records, chunk))
-        << "streamed v2 bytes differ from buffered serialization";
-    EXPECT_EQ(slurp(csvPath), serializeCsv(records))
-        << "streamed CSV bytes differ from buffered serialization";
-
-    // And the streamed file reads back exactly.
-    TraceReader reader;
-    ASSERT_TRUE(reader.open(binPath.string())) << reader.error();
-    EXPECT_GE(reader.chunkCount(), 10u);
-    expectReadsBack(reader, records);
 
     fs::remove_all(dir);
 }
@@ -491,11 +392,8 @@ TEST(TraceStream, ClearRestartsTheOutputFile)
     fs::create_directories(dir);
     fs::path path = dir / "trace.bin";
 
-    TraceStreamOptions options;
-    options.chunkRecords = 16;
     {
-        WriteTraceSink sink(path.string(), TraceFormat::BinaryV2,
-                            options);
+        WriteTraceSink sink(path.string(), TraceFormat::BinaryV2, 16);
         for (const auto &r : ramp)
             sink.record(r);
         // System::run drops ramp records at the measured-window
@@ -510,7 +408,8 @@ TEST(TraceStream, ClearRestartsTheOutputFile)
     std::ifstream is(path, std::ios::binary);
     std::ostringstream os;
     os << is.rdbuf();
-    EXPECT_EQ(os.str(), serializeV2(measured, 16));
+    EXPECT_EQ(os.str(),
+              streamTrace(measured, TraceFormat::BinaryV2, 16));
 
     fs::remove_all(dir);
 }
@@ -519,7 +418,8 @@ TEST(TraceSummary, AggregatesMatchHandComputation)
 {
     auto records = randomRecords(500, 0x54);
     TraceReader reader;
-    ASSERT_TRUE(reader.openBuffer(serializeV2(records, 64)))
+    ASSERT_TRUE(reader.openBuffer(
+        streamTrace(records, TraceFormat::BinaryV2, 64)))
         << reader.error();
     TraceSummary s = summarizeTrace(reader);
     ASSERT_TRUE(reader.ok()) << reader.error();
@@ -564,7 +464,8 @@ windowRecords()
 TEST(TraceWindow, SkipsChunksOutsideTheTickWindow)
 {
     auto records = windowRecords();
-    const std::string bytes = serializeV2(records, 8);
+    const std::string bytes =
+        streamTrace(records, TraceFormat::BinaryV2, 8);
 
     // Window covering exactly chunk 1 (ticks 800..1500).
     TraceReader reader;
@@ -613,7 +514,8 @@ TEST(TraceAttr, V3AndCsvRoundTripTheBlameBlock)
     auto records = randomAttrRecords(131, 0xAA01);
     {
         TraceReader reader;
-        ASSERT_TRUE(reader.openBuffer(serializeV3(records, 16)))
+        ASSERT_TRUE(reader.openBuffer(streamTrace(
+            records, TraceFormat::BinaryV2, 16, /*attribution=*/true)))
             << reader.error();
         EXPECT_EQ(reader.format(), TraceFormat::BinaryV2);
         EXPECT_EQ(reader.version(), traceAttrVersion);
@@ -632,7 +534,8 @@ TEST(TraceAttr, V3AndCsvRoundTripTheBlameBlock)
     }
     {
         TraceReader reader;
-        ASSERT_TRUE(reader.openBuffer(serializeCsvAttr(records)))
+        ASSERT_TRUE(reader.openBuffer(streamTrace(
+            records, TraceFormat::Csv, 64, /*attribution=*/true)))
             << reader.error();
         EXPECT_EQ(reader.format(), TraceFormat::Csv);
         EXPECT_TRUE(reader.attribution());
@@ -649,7 +552,8 @@ TEST(TraceAttr, V3AndCsvRoundTripTheBlameBlock)
     }
     // Base-format reads of the same records leave attr all zero.
     TraceReader base;
-    ASSERT_TRUE(base.openBuffer(serializeV2(records, 16)))
+    ASSERT_TRUE(
+        base.openBuffer(streamTrace(records, TraceFormat::BinaryV2, 16)))
         << base.error();
     EXPECT_FALSE(base.attribution());
     CtrlTraceRecord rec;
@@ -667,16 +571,18 @@ TEST(TraceAttr, OffSerializationIgnoresPopulatedBlameBlocks)
     auto zeroed = records;
     for (auto &r : zeroed)
         r.attr = WriteAttribution{};
-    EXPECT_EQ(serializeV2(records, 8), serializeV2(zeroed, 8));
-    EXPECT_EQ(serializeCsv(records), serializeCsv(zeroed));
-    EXPECT_EQ(serializeV1(records), serializeV1(zeroed));
+    EXPECT_EQ(streamTrace(records, TraceFormat::BinaryV2, 8),
+              streamTrace(zeroed, TraceFormat::BinaryV2, 8));
+    EXPECT_EQ(streamTrace(records, TraceFormat::Csv, 64),
+              streamTrace(zeroed, TraceFormat::Csv, 64));
 }
 
 TEST(TraceAttr, CsvAttributionAddsExactlyTheBlameColumns)
 {
     auto records = randomAttrRecords(48, 0xAA03);
-    std::istringstream attr(serializeCsvAttr(records));
-    std::istringstream plain(serializeCsv(records));
+    std::istringstream attr(
+        streamTrace(records, TraceFormat::Csv, 64, /*attribution=*/true));
+    std::istringstream plain(streamTrace(records, TraceFormat::Csv, 64));
     std::string attrLine, plainLine;
     std::size_t line = 0;
     while (std::getline(plain, plainLine)) {
@@ -705,7 +611,8 @@ TEST(TraceAttr, CsvAttributionAddsExactlyTheBlameColumns)
 TEST(TraceAttr, V3TruncationWallErrorsNeverCrash)
 {
     auto records = randomAttrRecords(20, 0xAA04);
-    const std::string whole = serializeV3(records, 8);
+    const std::string whole =
+        streamTrace(records, TraceFormat::BinaryV2, 8, /*attribution=*/true);
     for (std::size_t len = 0; len < whole.size(); ++len) {
         TraceReader reader;
         reader.openBuffer(whole.substr(0, len));
@@ -721,7 +628,8 @@ TEST(TraceAttr, V3TruncationWallErrorsNeverCrash)
 TEST(TraceAttr, EveryV3ByteFlipIsDetectedOrHarmless)
 {
     auto records = randomAttrRecords(20, 0xAA05);
-    const std::string whole = serializeV3(records, 8);
+    const std::string whole =
+        streamTrace(records, TraceFormat::BinaryV2, 8, /*attribution=*/true);
     for (std::size_t pos = 0; pos < whole.size(); ++pos) {
         std::string flipped = whole;
         flipped[pos] ^= 0x01;
@@ -747,48 +655,10 @@ TEST(TraceAttr, EveryV3ByteFlipIsDetectedOrHarmless)
     }
 }
 
-TEST(TraceAttr, StreamingV3MatchesBufferedBytes)
-{
-    const std::size_t chunk = 32;
-    auto records = randomAttrRecords(chunk * 5 + 3, 0xAA06);
-    fs::path dir = fs::path(::testing::TempDir()) / "ladder_attr";
-    fs::create_directories(dir);
-    TraceStreamOptions options;
-    options.chunkRecords = chunk;
-    auto slurp = [](const fs::path &p) {
-        std::ifstream is(p, std::ios::binary);
-        std::ostringstream os;
-        os << is.rdbuf();
-        return os.str();
-    };
-    {
-        fs::path path = dir / "attr.bin";
-        WriteTraceSink sink(path.string(), TraceFormat::BinaryV2,
-                            options, /*attribution=*/true);
-        EXPECT_TRUE(sink.attribution());
-        for (const auto &r : records)
-            sink.record(r);
-        sink.finish();
-        EXPECT_EQ(slurp(path), serializeV3(records, chunk))
-            << "streamed v3 bytes differ from buffered";
-    }
-    {
-        fs::path path = dir / "attr.csv";
-        WriteTraceSink sink(path.string(), TraceFormat::Csv, options,
-                            /*attribution=*/true);
-        for (const auto &r : records)
-            sink.record(r);
-        sink.finish();
-        EXPECT_EQ(slurp(path), serializeCsvAttr(records))
-            << "streamed attr CSV bytes differ from buffered";
-    }
-    fs::remove_all(dir);
-}
-
 TEST(TraceWindow, SkippedChunksAreNeverCrcCheckedOrDecoded)
 {
     auto records = windowRecords();
-    std::string bytes = serializeV2(records, 8);
+    std::string bytes = streamTrace(records, TraceFormat::BinaryV2, 8);
 
     // Corrupt a *payload* byte of chunk 2 — the lrsCount field of
     // its fourth record, well away from the peeked tick bytes — so
