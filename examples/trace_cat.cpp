@@ -1,18 +1,21 @@
 /**
  * @file
  * Trace inspection CLI over the TraceReader library: dump, filter,
- * summarize, or list the chunk index of any trace the simulator can
- * emit (CSV, or the v2/v3 chunked binary).
+ * summarize, or list the chunk index of a trace file the simulator
+ * writes (trace.bin: the v2 chunked binary, or v3 with attribution).
+ * The dump is the CSV view of a trace: with no filters it prints
+ * every record through the one CSV renderer (appendCsvRow), blame
+ * columns included when the trace carries them.
  *
  *   ./trace_cat <trace-file> [mode=dump|summary|chunks]
  *               [kind=W|R] [channel=<N>]
  *               [min-tick=<T>] [max-tick=<T>]
  *               [limit=<N>]      (dump: stop after N matching records)
- *               [chunk=<I>]      (v2: start at chunk I via the index)
+ *               [chunk=<I>]      (start at chunk I via the index)
  *
  * dump     print matching records as CSV rows (with the header)
  * summary  one aggregate block: counts, tick span, latency means/maxes
- * chunks   the v2 chunk index (offset, records, CRC per chunk)
+ * chunks   the chunk index (first record and record count per chunk)
  *
  * Exits non-zero with a message on stderr when the trace fails
  * validation (bad magic, truncation, CRC mismatch, ...), making it
@@ -69,7 +72,7 @@ registry()
             i64max);
         r.addInt<std::int64_t>(
             "chunk", [](Options &o) -> auto & { return o.chunk; },
-            "v2: start at this chunk via the index (-1 = start)", -1,
+            "Start at this chunk via the index (-1 = start)", -1,
             i64max);
         return r;
     }();
@@ -110,13 +113,6 @@ main(int argc, char **argv)
     }
 
     if (mode == "chunks") {
-        if (reader.chunkCount() == 0) {
-            std::fprintf(stderr,
-                         "trace_cat: %s: no chunk index (only the v2 "
-                         "format is chunked)\n",
-                         path.c_str());
-            return 1;
-        }
         std::printf("chunk,first_record,records\n");
         for (std::size_t i = 0; i < reader.chunkCount(); ++i) {
             std::printf("%zu,%" PRIu64 ",%" PRIu32 "\n", i,
@@ -170,10 +166,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Push the tick window down to the reader: on v2 traces, chunks
-    // whose index range falls outside [min-tick, max-tick] are
-    // skipped without being CRC-checked or decoded. The per-record
-    // filter below still trims the boundary chunks exactly.
+    // Push the tick window down to the reader: chunks whose index
+    // range falls outside [min-tick, max-tick] are skipped without
+    // being CRC-checked or decoded. The per-record filter below still
+    // trims the boundary chunks exactly.
     if (minTick > 0 || maxTickArg >= 0) {
         reader.setTickWindow(
             minTick, maxTickArg >= 0
@@ -181,11 +177,13 @@ main(int argc, char **argv)
                          : ~std::uint64_t{0});
     }
 
-    std::printf("type,tick,channel,wordline,bitline,lrs_count,"
-                "latency_ns,queue_depth\n");
+    const bool attribution = reader.attribution();
+    std::fputs(attribution ? traceCsvHeaderAttr : traceCsvHeader,
+               stdout);
     CtrlTraceRecord rec;
+    std::string row;
     std::int64_t printed = 0;
-    while (reader.next(rec)) {
+    while ((limit < 0 || printed < limit) && reader.next(rec)) {
         char type =
             rec.kind == CtrlTraceRecord::Kind::Write ? 'W' : 'R';
         if (!kind.empty() && kind[0] != type)
@@ -197,16 +195,10 @@ main(int argc, char **argv)
         if (maxTickArg >= 0 &&
             rec.tick > static_cast<std::uint64_t>(maxTickArg))
             continue;
-        std::printf("%c,%" PRIu64 ",%u,%u,%u,%u,%.3f,%" PRIu32 "\n",
-                    type, rec.tick,
-                    static_cast<unsigned>(rec.channel),
-                    static_cast<unsigned>(rec.wordline),
-                    static_cast<unsigned>(rec.bitline),
-                    static_cast<unsigned>(rec.lrsCount),
-                    static_cast<double>(rec.latencyNs),
-                    rec.queueDepth);
-        if (limit >= 0 && ++printed >= limit)
-            break;
+        row.clear();
+        appendCsvRow(row, rec, attribution);
+        std::fputs(row.c_str(), stdout);
+        ++printed;
     }
     if (!reader.ok()) {
         std::fprintf(stderr, "trace_cat: %s: %s\n", path.c_str(),

@@ -139,13 +139,11 @@ TraceReader::parseHeader()
     chunkBuf_.clear();
     chunkIndex_ = 0;
     chunkPos_ = 0;
-    csvDone_ = false;
     tickWindowSet_ = false;
     minTick_ = 0;
     maxTick_ = ~std::uint64_t{0};
     chunksDecoded_ = 0;
     version_ = 0;
-    format_ = TraceFormat::Csv;
     attribution_ = false;
     recordBytes_ = traceRecordBytes;
 
@@ -157,42 +155,21 @@ TraceReader::parseHeader()
                                               sizeof(magic));
     if (!readExact(magic, probe, "magic probe"))
         return false;
-    if (probe == sizeof(magic) &&
-        std::memcmp(magic, traceFileMagic, sizeof(magic)) == 0) {
-        char rest[8];
-        if (!readExact(rest, sizeof(rest), "file header"))
-            return false;
-        version_ = readU32(rest);
-        if (version_ == traceBaseVersion ||
-            version_ == traceAttrVersion) {
-            format_ = TraceFormat::BinaryV2;
-            attribution_ = version_ == traceAttrVersion;
-            recordBytes_ = attribution_ ? traceAttrRecordBytes
-                                        : traceRecordBytes;
-            chunkCapacity_ = readU32(rest + 4);
-            return parseV2();
-        }
+    if (probe != sizeof(magic) ||
+        std::memcmp(magic, traceFileMagic, sizeof(magic)) != 0)
+        return fail("unrecognized trace: no LADDRTRC magic");
+    char rest[8];
+    if (!readExact(rest, sizeof(rest), "file header"))
+        return false;
+    version_ = readU32(rest);
+    if (version_ != traceBaseVersion && version_ != traceAttrVersion)
         return fail(strPrintf("unsupported trace version %u",
                               version_));
-    }
-
-    // Not a binary trace: require the exact CSV header row.
-    is_->clear();
-    is_->seekg(0, std::ios::beg);
-    std::string line;
-    if (!std::getline(*is_, line))
-        return fail("unrecognized trace: no CSV header row");
-    const std::string expected(traceCsvHeader,
-                               sizeof(traceCsvHeader) - 2); // no \n
-    const std::string expectedAttr(traceCsvHeaderAttr,
-                                   sizeof(traceCsvHeaderAttr) - 2);
-    if (line == expectedAttr)
-        attribution_ = true;
-    else if (line != expected)
-        return fail("unrecognized trace: neither binary magic nor "
-                    "the CSV header row");
-    format_ = TraceFormat::Csv;
-    return true;
+    attribution_ = version_ == traceAttrVersion;
+    recordBytes_ =
+        attribution_ ? traceAttrRecordBytes : traceRecordBytes;
+    chunkCapacity_ = readU32(rest + 4);
+    return parseV2();
 }
 
 bool
@@ -378,88 +355,24 @@ TraceReader::next(CtrlTraceRecord &out)
 {
     if (!ok() || !is_)
         return false;
-    switch (format_) {
-    case TraceFormat::Csv:
-        return nextCsv(out);
-    case TraceFormat::BinaryV2:
-        while (chunkPos_ >= chunkBuf_.size()) {
-            if (chunkIndex_ >= chunks_.size())
+    while (chunkPos_ >= chunkBuf_.size()) {
+        if (chunkIndex_ >= chunks_.size())
+            return false;
+        if (tickWindowSet_) {
+            std::uint64_t first = 0, last = 0;
+            if (!peekChunkTicks(chunkIndex_, first, last))
                 return false;
-            if (tickWindowSet_) {
-                std::uint64_t first = 0, last = 0;
-                if (!peekChunkTicks(chunkIndex_, first, last))
-                    return false;
-                if (last < minTick_ || first > maxTick_) {
-                    ++chunkIndex_;
-                    continue;
-                }
+            if (last < minTick_ || first > maxTick_) {
+                ++chunkIndex_;
+                continue;
             }
-            if (!loadChunk(chunkIndex_))
-                return false;
-            ++chunkIndex_;
-            chunkPos_ = 0;
         }
-        out = chunkBuf_[chunkPos_++];
-        ++recordsRead_;
-        return true;
+        if (!loadChunk(chunkIndex_))
+            return false;
+        ++chunkIndex_;
+        chunkPos_ = 0;
     }
-    return false;
-}
-
-bool
-TraceReader::nextCsv(CtrlTraceRecord &out)
-{
-    if (csvDone_)
-        return false;
-    std::string line;
-    if (!std::getline(*is_, line)) {
-        csvDone_ = true;
-        return false;
-    }
-    char type = 0;
-    unsigned long long tick = 0;
-    unsigned channel = 0, wordline = 0, bitline = 0, lrs = 0,
-             queueDepth = 0;
-    float latency = 0.0f;
-    WriteAttribution attr{};
-    int consumed = 0;
-    int fields;
-    bool rowOk;
-    if (attribution_) {
-        fields = std::sscanf(
-            line.c_str(),
-            "%c,%llu,%u,%u,%u,%u,%f,%u,%d,%d,%d,%d,%d,%d,%d,%d%n",
-            &type, &tick, &channel, &wordline, &bitline, &lrs,
-            &latency, &queueDepth, &attr.depTicks, &attr.queueTicks,
-            &attr.bankTicks, &attr.rcdTicks, &attr.baseTicks,
-            &attr.locationTicks, &attr.contentTicks,
-            &attr.schemeTicks, &consumed);
-        rowOk = fields == 16;
-    } else {
-        fields = std::sscanf(line.c_str(), "%c,%llu,%u,%u,%u,%u,%f,%u%n",
-                             &type, &tick, &channel, &wordline,
-                             &bitline, &lrs, &latency, &queueDepth,
-                             &consumed);
-        rowOk = fields == 8;
-    }
-    if (!rowOk ||
-        consumed != static_cast<int>(line.size()) ||
-        (type != 'W' && type != 'R') || channel > 0xFF ||
-        wordline > 0xFFFF || bitline > 0xFFFF || lrs > 0xFFFF)
-        return fail(strPrintf(
-            "malformed CSV trace row %llu: '%.60s'",
-            static_cast<unsigned long long>(recordsRead_ + 1),
-            line.c_str()));
-    out.tick = tick;
-    out.kind = type == 'W' ? CtrlTraceRecord::Kind::Write
-                           : CtrlTraceRecord::Kind::Read;
-    out.channel = static_cast<std::uint8_t>(channel);
-    out.wordline = static_cast<std::uint16_t>(wordline);
-    out.bitline = static_cast<std::uint16_t>(bitline);
-    out.lrsCount = static_cast<std::uint16_t>(lrs);
-    out.latencyNs = latency;
-    out.queueDepth = queueDepth;
-    out.attr = attr;
+    out = chunkBuf_[chunkPos_++];
     ++recordsRead_;
     return true;
 }
@@ -469,9 +382,6 @@ TraceReader::seekChunk(std::size_t index)
 {
     if (!ok() || !is_)
         return false;
-    if (format_ != TraceFormat::BinaryV2)
-        return fail("seekChunk: only the v2 chunked format supports "
-                    "seeking");
     if (index >= chunks_.size())
         return fail(strPrintf(
             "seekChunk: chunk %zu out of range (trace has %zu)",
@@ -482,6 +392,28 @@ TraceReader::seekChunk(std::size_t index)
     chunkPos_ = 0;
     recordsRead_ = chunks_[index].firstRecord;
     return true;
+}
+
+void
+appendCsvRow(std::string &out, const CtrlTraceRecord &r,
+             bool attribution)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof(buf), "%c,%llu,%u,%u,%u,%u,%.3f,%u",
+                  r.kind == CtrlTraceRecord::Kind::Write ? 'W' : 'R',
+                  static_cast<unsigned long long>(r.tick), r.channel,
+                  r.wordline, r.bitline, r.lrsCount,
+                  static_cast<double>(r.latencyNs), r.queueDepth);
+    out += buf;
+    if (attribution) {
+        std::snprintf(buf, sizeof(buf), ",%d,%d,%d,%d,%d,%d,%d,%d",
+                      r.attr.depTicks, r.attr.queueTicks,
+                      r.attr.bankTicks, r.attr.rcdTicks,
+                      r.attr.baseTicks, r.attr.locationTicks,
+                      r.attr.contentTicks, r.attr.schemeTicks);
+        out += buf;
+    }
+    out += '\n';
 }
 
 TraceSummary

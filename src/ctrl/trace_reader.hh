@@ -1,19 +1,18 @@
 /**
  * @file
- * Robust reader for every trace encoding the sink can emit: CSV and
- * the chunked binary, v2 or v3 with attribution (see trace_sink.hh
- * for the wire formats). Designed for consumption by external tools
- * (trace_cat, analysis scripts, tests), so malformed input is *never*
- * undefined behaviour or a crash: every validation failure — bad
- * magic, unsupported version, truncated header, mid-record EOF, CRC
- * mismatch, inconsistent chunk index, malformed CSV row — turns into
- * `ok() == false` with a human-readable error() and next() returning
- * false.
+ * Robust reader for the trace files the sink emits: the chunked
+ * binary, v2 or v3 with attribution (see trace_sink.hh for the wire
+ * format), plus the one CSV renderer of its records. Designed for
+ * consumption by external tools (trace_cat, analysis scripts, tests),
+ * so malformed input is *never* undefined behaviour or a crash: every
+ * validation failure — bad magic, unsupported version, truncated
+ * header, mid-record EOF, CRC mismatch, inconsistent chunk index —
+ * turns into `ok() == false` with a human-readable error() and next()
+ * returning false.
  *
- * Sequential iteration works on both formats; the v2 chunk index
- * additionally supports O(1) seeking to any chunk. Memory use is
- * bounded by one chunk (v2) or one record (CSV), so arbitrarily long
- * traces can be scanned.
+ * Iteration is sequential, and the chunk index supports O(1) seeking
+ * to any chunk. Memory use is bounded by one chunk, so arbitrarily
+ * long traces can be scanned.
  */
 
 #ifndef LADDER_CTRL_TRACE_READER_HH
@@ -37,9 +36,9 @@ class TraceReader
     TraceReader() = default;
 
     /**
-     * Open a trace file, auto-detecting the encoding, and validate
-     * its framing (v2: trailer, footer CRC, chunk index
-     * consistency). Returns false with error() set on any problem.
+     * Open a trace file and validate its framing (magic, version,
+     * trailer, footer CRC, chunk index consistency). Returns false
+     * with error() set on any problem.
      */
     bool open(const std::string &path);
 
@@ -52,40 +51,32 @@ class TraceReader
     /** Description of the first failure (empty while ok()). */
     const std::string &error() const { return error_; }
 
-    TraceFormat format() const { return format_; }
-
-    /** Binary container version (2 or 3; 0 for CSV). */
+    /** Container version: 2, or 3 with attribution. */
     std::uint32_t version() const { return version_; }
 
     /**
-     * Whether records carry the blame block (binary v3 or the
-     * attribution CSV header); attr fields read as zero otherwise.
+     * Whether records carry the blame block (v3); attr fields read
+     * as zero otherwise.
      */
     bool attribution() const { return attribution_; }
 
-    /**
-     * Total record count when the container declares it (v2 footer);
-     * false for CSV, where the count is only known once iteration
-     * completes.
-     */
-    bool knownTotal() const { return format_ != TraceFormat::Csv; }
+    /** Total record count declared by the footer. */
     std::uint64_t totalRecords() const { return totalRecords_; }
 
     /**
      * Restrict iteration to records with minTick <= tick <= maxTick.
-     * On the v2 format this is pushed down to the chunk index:
-     * records are appended in simulation-time order, so a chunk's
-     * tick range is [first record tick, last record tick], peekable
-     * from 16 bytes without decoding — chunks entirely outside the
-     * window are skipped whole, never CRC-checked or decoded (see
-     * chunksDecoded()). Boundary chunks can still deliver records
-     * just outside the window, so callers wanting an exact cut must
-     * keep their per-record filter; CSV has no index and is filtered
-     * by the caller alone. Call before iterating.
+     * This is pushed down to the chunk index: records are appended in
+     * simulation-time order, so a chunk's tick range is [first record
+     * tick, last record tick], peekable from 16 bytes without
+     * decoding — chunks entirely outside the window are skipped
+     * whole, never CRC-checked or decoded (see chunksDecoded()).
+     * Boundary chunks can still deliver records just outside the
+     * window, so callers wanting an exact cut must keep their
+     * per-record filter. Call before iterating.
      */
     void setTickWindow(std::uint64_t minTick, std::uint64_t maxTick);
 
-    /** Chunks CRC-checked + decoded so far (v2; skipping counter). */
+    /** Chunks CRC-checked + decoded so far (skipping counter). */
     std::uint64_t chunksDecoded() const { return chunksDecoded_; }
 
     /**
@@ -97,7 +88,7 @@ class TraceReader
     /** Records delivered by next() so far. */
     std::uint64_t recordsRead() const { return recordsRead_; }
 
-    // --- v2 chunk index access (chunkCount() == 0 for CSV) ---
+    // --- chunk index access ---
 
     std::size_t chunkCount() const { return chunks_.size(); }
 
@@ -114,9 +105,9 @@ class TraceReader
     }
 
     /**
-     * Position iteration at the first record of chunk @p index
-     * (v2 only). Returns false with error() set when out of range or
-     * the chunk fails validation.
+     * Position iteration at the first record of chunk @p index.
+     * Returns false with error() set when out of range or the chunk
+     * fails validation.
      */
     bool seekChunk(std::size_t index);
 
@@ -134,33 +125,54 @@ class TraceReader
     bool parseHeader();
     bool parseV2();
     bool loadChunk(std::size_t index);
-    bool nextCsv(CtrlTraceRecord &out);
     /** Peek chunk @p index's first/last record ticks (no decode). */
     bool peekChunkTicks(std::size_t index, std::uint64_t &first,
                         std::uint64_t &last);
 
     std::unique_ptr<std::istream> is_;
     std::string error_;
-    TraceFormat format_ = TraceFormat::Csv;
     std::uint32_t version_ = 0;
     std::uint64_t totalRecords_ = 0;
     std::uint64_t recordsRead_ = 0;
     std::uint64_t fileSize_ = 0;
     std::uint32_t chunkCapacity_ = 0;
     bool attribution_ = false;
-    /** Serialized record size for the detected binary version. */
+    /** Serialized record size for the detected version. */
     std::size_t recordBytes_ = traceRecordBytes;
     std::vector<ChunkEntry> chunks_;
-    // Decoded records of the currently loaded v2 chunk.
+    // Decoded records of the currently loaded chunk.
     std::vector<CtrlTraceRecord> chunkBuf_;
     std::size_t chunkIndex_ = 0; //!< next chunk to load
     std::size_t chunkPos_ = 0;   //!< next record within chunkBuf_
-    bool csvDone_ = false;
     bool tickWindowSet_ = false;
     std::uint64_t minTick_ = 0;
     std::uint64_t maxTick_ = ~std::uint64_t{0};
     std::uint64_t chunksDecoded_ = 0;
 };
+
+/** CSV header row, including the trailing newline. */
+inline constexpr char traceCsvHeader[] =
+    "type,tick,channel,wordline,bitline,lrs_count,latency_ns,"
+    "queue_depth\n";
+
+/**
+ * CSV header row of attribution-enabled traces: the base columns
+ * plus the eight blame components, each in integer ticks
+ * (picoseconds). Reads carry zeros in every blame column.
+ */
+inline constexpr char traceCsvHeaderAttr[] =
+    "type,tick,channel,wordline,bitline,lrs_count,latency_ns,"
+    "queue_depth,dep_ticks,queue_ticks,bank_ticks,rcd_ticks,"
+    "base_ticks,location_ticks,content_ticks,scheme_ticks\n";
+
+/**
+ * Append @p r to @p out as one CSV row under traceCsvHeader, or under
+ * traceCsvHeaderAttr (the blame components as signed integer ticks)
+ * when @p attribution is set. The latency prints with "%.3f", so the
+ * text is a view of a trace file, not a lossless copy.
+ */
+void appendCsvRow(std::string &out, const CtrlTraceRecord &r,
+                  bool attribution);
 
 /** Aggregate statistics over a whole trace (see summarizeTrace). */
 struct TraceSummary

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <thread>
@@ -92,28 +91,6 @@ appendRecord(std::string &out, const CtrlTraceRecord &r,
     }
 }
 
-void
-appendCsvRow(std::string &out, const CtrlTraceRecord &r,
-             bool attribution)
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), "%c,%llu,%u,%u,%u,%u,%.3f,%u",
-                  r.kind == CtrlTraceRecord::Kind::Write ? 'W' : 'R',
-                  static_cast<unsigned long long>(r.tick), r.channel,
-                  r.wordline, r.bitline, r.lrsCount,
-                  static_cast<double>(r.latencyNs), r.queueDepth);
-    out += buf;
-    if (attribution) {
-        std::snprintf(buf, sizeof(buf), ",%d,%d,%d,%d,%d,%d,%d,%d",
-                      r.attr.depTicks, r.attr.queueTicks,
-                      r.attr.bankTicks, r.attr.rcdTicks,
-                      r.attr.baseTicks, r.attr.locationTicks,
-                      r.attr.contentTicks, r.attr.schemeTicks);
-        out += buf;
-    }
-    out += '\n';
-}
-
 /** v2/v3 file header: magic, version, chunk capacity. */
 std::string
 serializeV2Header(std::size_t chunkRecords, bool attribution)
@@ -173,23 +150,6 @@ serializeV2Footer(const std::vector<ChunkIndexEntry> &index,
 
 } // namespace
 
-TraceFormat
-traceFormatFromName(const std::string &name)
-{
-    if (name == "csv")
-        return TraceFormat::Csv;
-    if (name == "bin2")
-        return TraceFormat::BinaryV2;
-    fatal("trace-format must be 'csv' or 'bin2', got '%s'",
-          name.c_str());
-}
-
-std::string
-traceFormatExtension(TraceFormat format)
-{
-    return format == TraceFormat::Csv ? "csv" : "bin";
-}
-
 /**
  * Streaming state: the output stream, the writer thread, and the
  * bounded chunk queue between them. The simulation thread owns the
@@ -212,10 +172,9 @@ struct WriteTraceSink::Stream
 WriteTraceSink::WriteTraceSink() = default;
 
 WriteTraceSink::WriteTraceSink(const std::string &path,
-                               TraceFormat format,
                                std::size_t chunkRecords,
                                bool attribution)
-    : path_(path), format_(format), chunkRecords_(chunkRecords),
+    : path_(path), chunkRecords_(chunkRecords),
       attribution_(attribution)
 {
     ladder_assert(chunkRecords_ > 0, "trace file: zero chunk size");
@@ -239,18 +198,13 @@ WriteTraceSink::startStream()
     stream->os.open(path_, std::ios::binary | std::ios::trunc);
     ladder_assert(stream->os.good(), "cannot open trace file %s",
                   path_.c_str());
-    std::string header =
-        format_ == TraceFormat::BinaryV2
-            ? serializeV2Header(chunkRecords_, attribution_)
-            : std::string(attribution_ ? traceCsvHeaderAttr
-                                       : traceCsvHeader);
+    std::string header = serializeV2Header(chunkRecords_, attribution_);
     stream->os.write(header.data(),
                      static_cast<std::streamsize>(header.size()));
     stream->offset = header.size();
     Stream *raw = stream.get();
-    TraceFormat format = format_;
     bool attribution = attribution_;
-    stream->writer = std::thread([raw, format, attribution]() {
+    stream->writer = std::thread([raw, attribution]() {
 #if defined(__linux__)
         pthread_setname_np(pthread_self(), "ladder-trace");
 #endif
@@ -260,20 +214,14 @@ WriteTraceSink::startStream()
                 PROF_SCOPE("trace_flush");
                 if (metrics::enabled())
                     metrics::add(traceChunksMetric());
-                std::string bytes;
-                if (format == TraceFormat::BinaryV2) {
-                    ChunkIndexEntry entry;
-                    entry.offset = raw->offset;
-                    entry.records =
-                        static_cast<std::uint32_t>(chunk->size());
-                    bytes = serializeV2Chunk(chunk->data(),
-                                             chunk->size(), &entry.crc,
-                                             attribution);
-                    raw->index.push_back(entry);
-                } else {
-                    for (const CtrlTraceRecord &r : *chunk)
-                        appendCsvRow(bytes, r, attribution);
-                }
+                ChunkIndexEntry entry;
+                entry.offset = raw->offset;
+                entry.records =
+                    static_cast<std::uint32_t>(chunk->size());
+                std::string bytes =
+                    serializeV2Chunk(chunk->data(), chunk->size(),
+                                     &entry.crc, attribution);
+                raw->index.push_back(entry);
                 raw->os.write(
                     bytes.data(),
                     static_cast<std::streamsize>(bytes.size()));
@@ -316,13 +264,11 @@ WriteTraceSink::stopStream(bool writeFooter)
     stream.queue.close();
     if (stream.writer.joinable())
         stream.writer.join();
-    if (writeFooter && format_ == TraceFormat::BinaryV2) {
+    if (writeFooter) {
         std::string footer = serializeV2Footer(
             stream.index, stream.written, stream.offset);
         stream.os.write(footer.data(),
                         static_cast<std::streamsize>(footer.size()));
-    }
-    if (writeFooter) {
         stream.os.flush();
         if (!stream.os.good())
             stream.failed.store(true, std::memory_order_relaxed);

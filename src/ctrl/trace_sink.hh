@@ -8,8 +8,9 @@
  *    records into fixed-size chunks that are handed to a background
  *    writer thread over a bounded queue with backpressure, so peak
  *    trace memory is O(chunk size) however long the run is. It emits
- *    CSV or the chunked binary (v2, or v3 with attribution). Every
- *    trace file is written this way.
+ *    the chunked binary (v2, or v3 with attribution), the one on-disk
+ *    trace encoding; CSV text is a rendering of it (appendCsvRow in
+ *    trace_reader.hh, `trace_cat <trace.bin>`).
  *  - In-memory collector (default constructor): records accumulate in
  *    a vector for callers that inspect them through records(); it has
  *    no serializer.
@@ -49,10 +50,10 @@ namespace ladder
 
 /**
  * Causal blame decomposition of one write's end-to-end latency,
- * carried per record when attribution is on (v3 binary / attribution
- * CSV). Every field is a signed tick (picosecond) count; the
- * controller guarantees the eight components sum exactly to
- * completionTick - enqueueTick of the write. Reads carry all zeros.
+ * carried per record when attribution is on (v3 binary). Every field
+ * is a signed tick (picosecond) count; the controller guarantees the
+ * eight components sum exactly to completionTick - enqueueTick of the
+ * write. Reads carry all zeros.
  */
 struct WriteAttribution
 {
@@ -79,7 +80,7 @@ struct CtrlTraceRecord
     std::uint16_t lrsCount = 0;  //!< wordline LRS ('1') count (writes)
     float latencyNs = 0.0f;      //!< chosen tWR (write) / total (read)
     std::uint32_t queueDepth = 0; //!< same-class queue depth at event
-    WriteAttribution attr{};     //!< serialized in v3 / attr CSV only
+    WriteAttribution attr{};     //!< serialized in v3 only
 };
 
 /** Serialized size of one record in v2 binary traces. */
@@ -91,15 +92,6 @@ inline constexpr std::size_t traceRecordBytes = 24;
  * signed 32-bit tick counts, in WriteAttribution declaration order.
  */
 inline constexpr std::size_t traceAttrRecordBytes = 56;
-
-/** On-disk trace encodings ("csv", "bin2" on command lines). */
-enum class TraceFormat { Csv, BinaryV2 };
-
-/** Parse a trace-format= value; fatal() on an unknown name. */
-TraceFormat traceFormatFromName(const std::string &name);
-
-/** File name extension for a format ("csv" or "bin"). */
-std::string traceFormatExtension(TraceFormat format);
 
 /** Trace file writer / in-memory collector (see @file). */
 class WriteTraceSink
@@ -119,11 +111,10 @@ class WriteTraceSink
      * File sink: open @p path (truncating) and flush chunks of
      * @p chunkRecords records to it from a background writer thread
      * as the run progresses. @p attribution selects the blame block
-     * (CSV attribution columns / binary v3). Call finish() (or let the
-     * destructor) to flush the final partial chunk and the footer.
+     * (binary v3). Call finish() (or let the destructor) to flush the
+     * final partial chunk and the footer.
      */
-    WriteTraceSink(const std::string &path, TraceFormat format,
-                   std::size_t chunkRecords,
+    WriteTraceSink(const std::string &path, std::size_t chunkRecords,
                    bool attribution = false);
 
     ~WriteTraceSink();
@@ -177,7 +168,6 @@ class WriteTraceSink
     void stopStream(bool writeFooter);
 
     std::string path_;          //!< file sink only
-    TraceFormat format_ = TraceFormat::Csv;
     std::size_t chunkRecords_ = 0; //!< file sink only
     bool attribution_ = false;
     std::unique_ptr<Stream> stream_; //!< non-null for a file sink

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared wire-format constants of the controller trace encodings,
+ * Shared wire-format constants of the controller trace encoding,
  * used by the writer (trace_sink) and the reader (trace_reader) so
  * the two cannot drift apart. The byte layouts themselves are
  * documented in trace_sink.hh and EXPERIMENTS.md.
@@ -21,21 +21,6 @@ inline constexpr char traceChunkMagic[4] = {'C', 'H', 'N', 'K'};
 inline constexpr char traceFooterMagic[4] = {'F', 'T', 'E', 'R'};
 inline constexpr char traceEndMagic[8] = {'L', 'A', 'D', 'D',
                                           'R', 'E', 'N', 'D'};
-
-/** CSV header row, including the trailing newline. */
-inline constexpr char traceCsvHeader[] =
-    "type,tick,channel,wordline,bitline,lrs_count,latency_ns,"
-    "queue_depth\n";
-
-/**
- * CSV header row of attribution-enabled traces: the base columns
- * plus the eight blame components, each in integer ticks
- * (picoseconds). Reads carry zeros in every blame column.
- */
-inline constexpr char traceCsvHeaderAttr[] =
-    "type,tick,channel,wordline,bitline,lrs_count,latency_ns,"
-    "queue_depth,dep_ticks,queue_ticks,bank_ticks,rcd_ticks,"
-    "base_ticks,location_ticks,content_ticks,scheme_ticks\n";
 
 /** Binary version of base (24-byte record) chunked traces. */
 inline constexpr std::uint32_t traceBaseVersion = 2;

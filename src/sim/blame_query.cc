@@ -107,16 +107,14 @@ loadTraceProfile(const std::string &path, const std::string &label,
     return true;
 }
 
-/** trace.csv / trace.bin inside @p dir, or empty when absent. */
+/** trace.bin inside @p dir, or empty when absent. */
 std::string
 traceFileIn(const std::filesystem::path &dir)
 {
-    for (const char *name : {"trace.csv", "trace.bin"}) {
-        std::filesystem::path candidate = dir / name;
-        std::error_code ec;
-        if (std::filesystem::is_regular_file(candidate, ec))
-            return candidate.string();
-    }
+    std::filesystem::path candidate = dir / "trace.bin";
+    std::error_code ec;
+    if (std::filesystem::is_regular_file(candidate, ec))
+        return candidate.string();
     return {};
 }
 
@@ -148,8 +146,8 @@ loadBlameProfiles(const std::string &path,
     }
     std::sort(runs.begin(), runs.end());
     if (runs.empty()) {
-        error = path + ": no trace.csv/trace.bin found (not a run "
-                       "or trace-out directory?)";
+        error = path + ": no trace.bin found (not a run or "
+                       "trace-out directory?)";
         return false;
     }
     for (const auto &run : runs) {

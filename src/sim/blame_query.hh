@@ -1,12 +1,12 @@
 /**
  * @file
- * Blame-profile analytics over attribution traces: load the v3 /
- * attribution-CSV traces a sweep wrote (trace.attribution=1), reduce
- * each run's per-write blame components to percentile + share
- * profiles, render per-scheme×workload tables, and diff two runs'
- * profiles with a relative threshold. This is the engine behind the
- * `ladder_blame` CLI; it lives in the library so tests can drive the
- * exact load/reduce/diff logic — and the 0/1/2 exit contract — against
+ * Blame-profile analytics over attribution traces: load the v3
+ * traces a sweep wrote (trace.attribution=1), reduce each run's
+ * per-write blame components to percentile + share profiles, render
+ * per-scheme×workload tables, and diff two runs' profiles with a
+ * relative threshold. This is the engine behind the `ladder_blame`
+ * CLI; it lives in the library so tests can drive the exact
+ * load/reduce/diff logic — and the 0/1/2 exit contract — against
  * generated traces.
  */
 
@@ -44,8 +44,8 @@ struct BlameProfile
 
 /**
  * Load @p path — an attribution trace file, a run directory holding
- * one (trace.csv/trace.bin), or a sweep trace-out directory whose
- * subdirectories are runs — appending one profile per run found.
+ * one (trace.bin), or a sweep trace-out directory whose subdirectories
+ * are runs — appending one profile per run found.
  * Returns false with @p error set when nothing loads, a trace is
  * malformed, or a trace lacks the attribution block (the caller asked
  * a blame question of a blame-free trace: a usage error, exit 2).

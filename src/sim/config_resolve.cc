@@ -169,28 +169,20 @@ registerExperimentParams(Registry &reg)
                   "Directory for per-run write/read event traces "
                   "('' = off)")
         .inManifest = false;
-    reg.addChoice("trace-format", LADDER_FIELD(traceFormat),
-                  "Trace encoding (streamed to disk during the run)",
-                  {"csv", "bin2"});
     reg.addBool("trace.attribution",
                 LADDER_FIELD(system.controller.attribution),
-                "Per-write causal blame decomposition: v3 bin2 trace "
-                "records or csv blame columns, blame stats/histograms, "
-                "and live blame-rate counters (off = byte-identical "
-                "legacy outputs)")
+                "Per-write causal blame decomposition: v3 trace "
+                "records, blame stats/histograms, and live blame-rate "
+                "counters (off = byte-identical legacy outputs)")
         .inManifest = false;
     reg.addInt<std::uint64_t>(
         "trace-chunk", LADDER_FIELD(traceChunkRecords),
-        "Records per trace chunk (unit of streaming and the bin2 "
-        "chunk capacity)",
+        "Records per trace chunk (unit of streaming and the chunk "
+        "capacity)",
         1, std::uint64_t(1) << 30);
     reg.addInt<std::uint64_t>(
         "epoch-cycles", LADDER_FIELD(epochCycles),
         "Core cycles per epoch stat snapshot (0 = no epoch series)");
-    reg.addBool("volatile-manifest", LADDER_FIELD(volatileManifest),
-                "Include wall clock and job count in JSON manifests "
-                "(breaks byte-identity across runs)")
-        .inManifest = false;
     reg.addString("profile-out", LADDER_FIELD(profileOut),
                   "Write a Chrome-trace/Perfetto host+sim timeline "
                   "JSON to this path ('' = off)")
@@ -237,16 +229,6 @@ registerExperimentParams(Registry &reg)
     reg.addBool("scheme.shifting", LADDER_FIELD(schemeOptions.shifting),
                 "LADDER-Est: shift estimated counters toward the "
                 "observed write content");
-
-    // ---------------------------------------------------------------
-    // Latency-surface check (manifest-excluded: a verification switch
-    // that never changes results)
-    // ---------------------------------------------------------------
-    reg.addBool("latency.surface-check",
-                LADDER_FIELD(system.latencySurfaceCheck),
-                "Verify every surface cell against its table at init; "
-                "fatal on violation")
-        .inManifest = false;
 
     // ---------------------------------------------------------------
     // Memory geometry (SystemConfig template)

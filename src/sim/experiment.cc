@@ -99,7 +99,7 @@ makeTraceSink(SchemeKind scheme, const std::string &workload,
         traceFilePath(config, scheme, workload);
     std::filesystem::create_directories(path.parent_path());
     return std::make_unique<WriteTraceSink>(
-        path.string(), traceFormatFromName(config.traceFormat),
+        path.string(),
         static_cast<std::size_t>(config.traceChunkRecords),
         config.system.controller.attribution);
 }

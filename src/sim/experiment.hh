@@ -89,26 +89,16 @@ struct ExperimentConfig
     std::string statsJsonDir;
     /**
      * When non-empty, each run writes its measured-window write/read
-     * trace to `<traceOutDir>/<scheme>__<workload>/trace.<ext>`.
+     * trace to `<traceOutDir>/<scheme>__<workload>/trace.bin`. The
+     * trace streams to disk while the run executes, through a bounded
+     * queue and a background writer thread, so peak trace memory is
+     * O(traceChunkRecords) however long the run is.
      */
     std::string traceOutDir;
-    /**
-     * "csv" or "bin2". Either way the trace streams to disk while the
-     * run executes, through a bounded queue and a background writer
-     * thread, so peak trace memory is O(traceChunkRecords) however
-     * long the run is.
-     */
-    std::string traceFormat = "csv";
     /** Records per trace chunk (unit of buffering and flushing). */
     std::uint64_t traceChunkRecords = 64 * 1024;
     /** Core cycles per stat snapshot (0 = no epoch series). */
     std::uint64_t epochCycles = 0;
-    /**
-     * Include volatile manifest fields (wall clock, job count) in the
-     * JSON outputs. Off by default so identical configs produce
-     * byte-identical files at any `jobs=` value.
-     */
-    bool volatileManifest = false;
     /**
      * When non-empty, enable host-side profiling (common/profiler)
      * and write a Chrome-trace-event JSON timeline — loadable in

@@ -178,9 +178,9 @@ writeBlameSlices(JsonWriter &json, const CtrlTraceRecord &rec,
  * One run cell's recorded trace as a sim-time process: a track per
  * channel, writes occupying their dispatch..dispatch+tWR window and
  * reads their (completion-latency)..completion window. Attribution
- * traces (v3 / attr CSV) additionally get per-channel blame tracks
- * with per-component sub-slices and enqueue->dispatch->completion
- * flows (see writeBlameSlices).
+ * traces (v3) additionally get per-channel blame tracks with
+ * per-component sub-slices and enqueue->dispatch->completion flows
+ * (see writeBlameSlices).
  */
 std::uint64_t
 writeSimCell(JsonWriter &json, const ExperimentConfig &config,

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 
@@ -17,18 +16,6 @@ namespace ladder
 
 namespace
 {
-
-/** UTC wall clock as `YYYY-MM-DDTHH:MM:SSZ` (volatile manifests). */
-std::string
-utcNow()
-{
-    std::time_t now = std::time(nullptr);
-    std::tm tm{};
-    gmtime_r(&now, &tm);
-    char buf[32];
-    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
-    return buf;
-}
 
 void
 writeSolverJson(JsonWriter &json)
@@ -140,10 +127,8 @@ std::filesystem::path
 traceFilePath(const ExperimentConfig &config, SchemeKind scheme,
               const std::string &workload)
 {
-    TraceFormat format = traceFormatFromName(config.traceFormat);
     return std::filesystem::path(config.traceOutDir) /
-           runDirName(scheme, workload) /
-           ("trace." + traceFormatExtension(format));
+           runDirName(scheme, workload) / "trace.bin";
 }
 
 RunManifest
@@ -171,11 +156,6 @@ makeRunManifest(SchemeKind scheme, const std::string &workload,
         m.externTraceRecords = trace->records.size();
         m.externTraceCrc32 = trace->crc32;
     }
-    if (config.volatileManifest) {
-        m.volatileFields = true;
-        m.wallClockUtc = utcNow();
-        m.jobs = config.jobs;
-    }
     return m;
 }
 
@@ -201,10 +181,6 @@ writeManifestFields(JsonWriter &json, const RunManifest &manifest)
                    manifest.externTraceRecords);
         json.field("workload_trace_crc32",
                    std::uint64_t{manifest.externTraceCrc32});
-    }
-    if (manifest.volatileFields) {
-        json.field("wall_clock_utc", manifest.wallClockUtc);
-        json.field("jobs", manifest.jobs);
     }
 }
 
@@ -319,10 +295,6 @@ exportSweep(const ExperimentConfig &config, const Matrix &matrix)
     json.field("cache_scale", config.cacheScale);
     json.field("epoch_cycles", config.epochCycles);
     json.field("git_describe", gitDescribeString());
-    if (config.volatileManifest) {
-        json.field("wall_clock_utc", utcNow());
-        json.field("jobs", config.jobs);
-    }
     json.endObject();
     json.key("resolved_config");
     experimentRegistry().dumpJson(

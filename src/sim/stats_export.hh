@@ -9,11 +9,9 @@
  * dump of the typed parameter registry (sim/config_resolve), loadable
  * back as a `config=` file.
  *
- * Determinism contract: with ExperimentConfig::volatileManifest off
- * (the default), every emitted file is byte-identical for a given
- * (config, repo state) regardless of sweep parallelism — volatile
- * fields (wall clock, job count) are only added when explicitly
- * requested.
+ * Determinism contract: every emitted file is byte-identical for a
+ * given (config, repo state) regardless of sweep parallelism — no
+ * wall clock or job count is ever written.
  */
 
 #ifndef LADDER_SIM_STATS_EXPORT_HH
@@ -56,10 +54,6 @@ struct RunManifest
     std::string externTraceFormat;
     std::uint64_t externTraceRecords = 0;
     std::uint32_t externTraceCrc32 = 0;
-    /** Volatile extras (wall clock, jobs); off by default. */
-    bool volatileFields = false;
-    std::string wallClockUtc;
-    unsigned jobs = 0;
 };
 
 /**
@@ -84,12 +78,12 @@ std::string runDirName(SchemeKind scheme, const std::string &workload);
 
 /**
  * The unique per-cell trace file path
- * `<config.traceOutDir>/<scheme>__<workload>/trace.<csv|bin>`
- * ("bin" for trace-format=bin2). Pure derivation — directories are
- * not created. makeTraceSink opens this path and exportRun asserts
- * the sink wrote to it. Distinct (scheme, workload) cells always map
- * to distinct paths, so parallel sweep cells can stream traces
- * concurrently without colliding (gated by test_parallel_determinism).
+ * `<config.traceOutDir>/<scheme>__<workload>/trace.bin`. Pure
+ * derivation — directories are not created. makeTraceSink opens this
+ * path and exportRun asserts the sink wrote to it. Distinct (scheme,
+ * workload) cells always map to distinct paths, so parallel sweep
+ * cells can stream traces concurrently without colliding (gated by
+ * test_parallel_determinism).
  */
 std::filesystem::path traceFilePath(const ExperimentConfig &config,
                                     SchemeKind scheme,

@@ -18,10 +18,10 @@ namespace
 {
 
 /**
- * Init-time surface verification (SystemConfig::latencySurfaceCheck):
- * exact surface-vs-table identity. Memoized on the shared (cached)
- * model's identity, so a sweep building hundreds of Systems checks
- * each distinct model once.
+ * Init-time surface verification, run by every System: exact
+ * surface-vs-table identity, fatal on any violation. Memoized on the
+ * shared (cached) model's identity, so a sweep building hundreds of
+ * Systems checks each distinct model once.
  */
 void
 verifyLatencySurfaces(const TimingModel &model)
@@ -78,8 +78,7 @@ System::System(const SystemConfig &config) : config_(config)
     timing_ = &cachedTimingModel(config_.crossbar,
                                  config_.tableGranularity,
                                  config_.rangeShrink);
-    if (config_.latencySurfaceCheck)
-        verifyLatencySurfaces(*timing_);
+    verifyLatencySurfaces(*timing_);
 
     store_ = std::make_unique<BackingStore>(
         config_.geometry, /*trackBitlines=*/true,

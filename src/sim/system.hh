@@ -65,13 +65,6 @@ struct SystemConfig
     std::uint64_t seed = 1;
     bool paperScale = false;
     /**
-     * Verify the precomputed latency surfaces at init: exact
-     * bit-identity of every surface cell and index map against the
-     * bucketed tables. Fatal on any violation; memoized per shared
-     * timing model so sweeps pay the cost once.
-     */
-    bool latencySurfaceCheck = false;
-    /**
      * Core-clock cycles between periodic stat snapshots during the
      * measured window (0 = no epoch time series). Each snapshot
      * flattens every registered stat group — controllers, cores, and

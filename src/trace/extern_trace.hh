@@ -7,9 +7,9 @@
  *  - DRAMsim3-style text: one `<hexaddr> <READ|WRITE|R|W> <cycle>`
  *    request per line, '#' comments and blank lines ignored. The
  *    de-facto interchange format of memory-system simulators.
- *  - This repo's own bin2 controller traces (trace-out trace-format=
- *    bin2), parsed through the hardened ctrl/TraceReader so every
- *    corruption mode it rejects is rejected here too.
+ *  - This repo's own bin2 controller traces (the trace.bin files
+ *    trace-out= writes), parsed through the hardened ctrl/TraceReader
+ *    so every corruption mode it rejects is rejected here too.
  *
  * Neither format carries store payloads, so write content is
  * synthesized deterministically: DRAMsim3 records draw typed words

@@ -29,8 +29,7 @@ namespace ladder
  */
 inline std::string
 streamTrace(const std::vector<CtrlTraceRecord> &records,
-            TraceFormat format, std::size_t chunkRecords,
-            bool attribution = false)
+            std::size_t chunkRecords, bool attribution = false)
 {
     static unsigned serial = 0;
     const std::filesystem::path path =
@@ -38,8 +37,7 @@ streamTrace(const std::vector<CtrlTraceRecord> &records,
         ("ladder_stream_trace_" + std::to_string(::getpid()) + "_" +
          std::to_string(serial++));
     {
-        WriteTraceSink sink(path.string(), format, chunkRecords,
-                            attribution);
+        WriteTraceSink sink(path.string(), chunkRecords, attribution);
         for (const CtrlTraceRecord &r : records)
             sink.record(r);
         sink.finish();

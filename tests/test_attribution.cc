@@ -4,9 +4,9 @@
  * component-sum property across all nine schemes (the controller's
  * always-on exact-sum assert panics the run on any violation, so
  * completing these sweeps *is* the proof), per-component invariants
- * recovered from the written traces, the attribution-on vs -off byte
- * differential at the export layer, and the `ladder_blame` CLI's
- * table/diff output with its 0/1/2 exit contract.
+ * recovered from the written traces, the attribution-on vs -off
+ * record and byte differential at the export layer, and the
+ * `ladder_blame` CLI's table/diff output with its 0/1/2 exit contract.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/types.hh"
@@ -24,6 +25,7 @@
 #include "sim/blame_query.hh"
 #include "sim/experiment.hh"
 #include "sim/stats_export.hh"
+#include "stream_trace.hh"
 
 namespace fs = std::filesystem;
 
@@ -40,7 +42,6 @@ attrConfig(const std::string &traceDir)
     cfg.measureInstr = 40'000;
     cfg.cacheScale = 1.0 / 16.0;
     cfg.traceOutDir = traceDir;
-    cfg.traceFormat = "csv";
     cfg.system.controller.attribution = true;
     return cfg;
 }
@@ -69,7 +70,7 @@ TEST(Attribution, ComponentInvariantsHoldAcrossAllNineSchemes)
 
         TraceReader reader;
         fs::path trace =
-            base / "trace" / runDirName(kind, "lbm") / "trace.csv";
+            base / "trace" / runDirName(kind, "lbm") / "trace.bin";
         ASSERT_TRUE(reader.open(trace.string()))
             << trace << ": " << reader.error();
         EXPECT_TRUE(reader.attribution());
@@ -128,31 +129,38 @@ TEST(Attribution, OnVsOffTraceByteDifferential)
 
     const std::string run =
         runDirName(SchemeKind::LadderEst, "lbm");
-    std::istringstream onCsv(
-        slurp(base / "on" / run / "trace.csv"));
-    std::istringstream offCsv(
-        slurp(base / "off" / run / "trace.csv"));
+    const std::string offBytes = slurp(base / "off" / run / "trace.bin");
+    auto readAll = [](const std::string &bytes, std::uint32_t version) {
+        TraceReader reader;
+        EXPECT_TRUE(reader.openBuffer(bytes)) << reader.error();
+        EXPECT_EQ(reader.version(), version);
+        std::vector<CtrlTraceRecord> records;
+        CtrlTraceRecord rec;
+        while (reader.next(rec))
+            records.push_back(rec);
+        EXPECT_TRUE(reader.ok()) << reader.error();
+        return records;
+    };
+    std::vector<CtrlTraceRecord> onRecords =
+        readAll(slurp(base / "on" / run / "trace.bin"), 3);
+    const std::vector<CtrlTraceRecord> offRecords = readAll(offBytes, 2);
 
-    // Same simulation, one optional block: every attribution row is
-    // its attribution-off counterpart plus exactly the blame columns,
-    // so stripping them recovers the off trace byte-for-byte.
-    std::string onLine, offLine;
-    std::size_t line = 0;
-    while (std::getline(offCsv, offLine)) {
-        ASSERT_TRUE(std::getline(onCsv, onLine)) << "line " << line;
-        if (line == 0) {
-            EXPECT_EQ(onLine.rfind(",scheme_ticks"),
-                      onLine.size() - 13);
-        } else {
-            ASSERT_GT(onLine.size(), offLine.size());
-            EXPECT_EQ(onLine.substr(0, offLine.size()), offLine)
-                << "line " << line;
-            EXPECT_EQ(onLine[offLine.size()], ',') << "line " << line;
-        }
-        ++line;
+    // Same simulation, one optional block: with the blame block
+    // zeroed, the attribution records are the off records exactly...
+    ASSERT_EQ(onRecords.size(), offRecords.size());
+    EXPECT_GT(offRecords.size(), 0u);
+    auto fields = [](const CtrlTraceRecord &r) {
+        return std::make_tuple(r.tick, r.kind, r.channel, r.wordline,
+                               r.bitline, r.lrsCount, r.latencyNs,
+                               r.queueDepth);
+    };
+    for (std::size_t i = 0; i < onRecords.size(); ++i) {
+        EXPECT_TRUE(fields(onRecords[i]) == fields(offRecords[i]))
+            << "record " << i;
+        onRecords[i].attr = WriteAttribution{};
     }
-    EXPECT_FALSE(std::getline(onCsv, onLine));
-    EXPECT_GT(line, 1u);
+    // ...and re-streaming them reproduces the off file byte for byte.
+    EXPECT_EQ(streamTrace(onRecords, off.traceChunkRecords), offBytes);
     fs::remove_all(base);
 }
 
@@ -236,7 +244,6 @@ TEST(Attribution, ExportsByteIdenticalAcrossJobs)
     auto sweep = [&](unsigned jobs, const fs::path &dir) {
         ExperimentConfig cfg = attrConfig((dir / "trace").string());
         cfg.jobs = jobs;
-        cfg.traceFormat = "bin2";
         cfg.traceChunkRecords = 64;
         runMatrixParallel(schemes, workloads, cfg);
     };

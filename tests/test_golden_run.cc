@@ -18,8 +18,8 @@
  * process-wide solver instrumentation and memoized timing tables see
  * a fixed call sequence, and LADDER_GIT_DESCRIBE is pinned before any
  * test code runs so the manifest does not change with every commit.
- * Volatile manifest fields are off by default. The reference bytes
- * are produced by the repository's CI toolchain; a different
+ * No manifest field carries a wall clock or job count. The reference
+ * bytes are produced by the repository's CI toolchain; a different
  * compiler's floating-point contraction choices may legitimately
  * require regeneration.
  */
@@ -69,7 +69,6 @@ goldenConfig(const fs::path &outDir)
     cfg.epochCycles = 10'000;
     cfg.statsJsonDir = (outDir / "stats").string();
     cfg.traceOutDir = (outDir / "trace").string();
-    cfg.traceFormat = "bin2";
     cfg.traceChunkRecords = 512;
     return cfg;
 }
@@ -152,7 +151,6 @@ checkGoldenCell(SchemeKind scheme, const std::string &workload,
     ASSERT_TRUE(resolved.isObject());
     EXPECT_DOUBLE_EQ(resolved.at("measure").number, 20000.0);
     EXPECT_DOUBLE_EQ(resolved.at("epoch-cycles").number, 10000.0);
-    EXPECT_EQ(resolved.at("trace-format").string, "bin2");
     EXPECT_FALSE(resolved.has("stats-json"));
     EXPECT_FALSE(resolved.has("jobs"));
 

@@ -59,7 +59,15 @@ TEST(TraceSink, CsvAndBinaryRoundTrip)
     r.kind = CtrlTraceRecord::Kind::Read;
     r.latencyNs = 41.25f;
 
-    std::string text = streamTrace({w, r}, TraceFormat::Csv, 64);
+    std::string bytes = streamTrace({w, r}, 64);
+    // The CSV view of the same file, as trace_cat dumps it.
+    TraceReader reader;
+    ASSERT_TRUE(reader.openBuffer(bytes)) << reader.error();
+    std::string text = traceCsvHeader;
+    CtrlTraceRecord rec;
+    while (reader.next(rec))
+        appendCsvRow(text, rec, reader.attribution());
+    EXPECT_TRUE(reader.ok()) << reader.error();
     EXPECT_NE(text.find("type,tick,channel,wordline,bitline,lrs_count,"
                         "latency_ns,queue_depth"),
               std::string::npos);
@@ -68,7 +76,6 @@ TEST(TraceSink, CsvAndBinaryRoundTrip)
     EXPECT_NE(text.find("R,123456999,0,0,0,0,41.250,0"),
               std::string::npos);
 
-    std::string bytes = streamTrace({w, r}, TraceFormat::BinaryV2, 64);
     // 16-byte header + one 12-byte chunk header + 24 bytes per record
     // + 36-byte footer (one index entry) + 16-byte trailer.
     ASSERT_EQ(bytes.size(), 16u + 12u + 2u * 24u + 36u + 16u);
@@ -211,7 +218,7 @@ TEST(StatsExport, ByteIdenticalAcrossJobCounts)
     auto parallel = slurpTree(base / "jobs8");
     ASSERT_FALSE(serial.empty());
     ASSERT_EQ(serial.size(), parallel.size());
-    // 4 runs x (stats.json + trace.csv) + sweep.json.
+    // 4 runs x (stats.json + trace.bin) + sweep.json.
     EXPECT_EQ(serial.size(), 9u);
     for (const auto &[rel, bytes] : serial) {
         auto it = parallel.find(rel);
@@ -245,10 +252,16 @@ TEST(StatsExport, ByteIdenticalAcrossJobCounts)
 
     // Traces contain write records for every run.
     for (const auto &[rel, bytes] : serial) {
-        if (rel.find("trace.csv") == std::string::npos)
+        if (rel.find("trace.bin") == std::string::npos)
             continue;
-        EXPECT_NE(bytes.find("\nW,"), std::string::npos)
-            << rel << " has no write records";
+        TraceReader reader;
+        ASSERT_TRUE(reader.openBuffer(bytes)) << reader.error();
+        std::uint64_t writes = 0;
+        CtrlTraceRecord rec;
+        while (reader.next(rec))
+            writes += rec.kind == CtrlTraceRecord::Kind::Write;
+        EXPECT_TRUE(reader.ok()) << rel << ": " << reader.error();
+        EXPECT_GT(writes, 0u) << rel << " has no write records";
     }
 
     fs::remove_all(base);
@@ -269,7 +282,6 @@ TEST(StatsExport, StreamedTracesMatchAtAnyJobCount)
         ExperimentConfig cfg = quickConfig();
         cfg.jobs = jobs;
         cfg.traceOutDir = (dir / "trace").string();
-        cfg.traceFormat = "bin2";
         // Small chunks force many flush boundaries per run.
         cfg.traceChunkRecords = 64;
         runMatrixParallel(schemes, workloads, cfg);
@@ -365,13 +377,6 @@ TEST(StatsExport, ManifestHelpers)
         makeRunManifest(SchemeKind::Baseline, "lbm", cfg);
     EXPECT_EQ(m.workload, "lbm");
     EXPECT_EQ(m.warmupInstr, cfg.warmupInstr);
-    EXPECT_FALSE(m.volatileFields);
-    cfg.volatileManifest = true;
-    cfg.jobs = 3;
-    m = makeRunManifest(SchemeKind::Baseline, "lbm", cfg);
-    EXPECT_TRUE(m.volatileFields);
-    EXPECT_EQ(m.jobs, 3u);
-    EXPECT_FALSE(m.wallClockUtc.empty());
 }
 
 } // namespace

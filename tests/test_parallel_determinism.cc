@@ -122,7 +122,6 @@ TEST(ParallelDeterminism, NoTwoCellsShareATraceFilePath)
     // adversarial workload names that sanitize near each other.
     ExperimentConfig cfg = quickConfig(8);
     cfg.traceOutDir = "traces";
-    cfg.traceFormat = "bin2";
     const std::vector<std::string> workloads = {
         "lbm",   "mix-1", "a/b",  "a_b",  "a%2Fb",
         "a%b",   "a.b",   "A/B",  "..",   "trace.bin",

@@ -186,12 +186,9 @@ TEST(ParamRegistry, NonNumericValueIsRejected)
 
 TEST(ParamRegistry, BadChoiceSuggests)
 {
-    std::string what = errorOf({"trace-format=binx"});
-    EXPECT_NE(what.find("{csv|bin2}"), std::string::npos) << what;
-    // A v1 'bin' request fails loudly instead of writing another
-    // format.
-    what = errorOf({"trace-format=bin"});
-    EXPECT_NE(what.find("{csv|bin2}"), std::string::npos) << what;
+    std::string what = errorOf({"extern.format=csv"});
+    EXPECT_NE(what.find("{auto|dramsim3|bin2}"), std::string::npos)
+        << what;
 
     what = errorOf({"fnw-mode=clasical"});
     EXPECT_NE(what.find("did you mean 'classical'?"),
@@ -429,7 +426,7 @@ TEST(ParamRegistry, ManifestScopeExcludesOutputAndVolatileKnobs)
     EXPECT_FALSE(doc.has("stats-json"));
     EXPECT_FALSE(doc.has("trace-out"));
     EXPECT_FALSE(doc.has("jobs"));
-    EXPECT_FALSE(doc.has("volatile-manifest"));
+    EXPECT_FALSE(doc.has("profile"));
     EXPECT_FALSE(doc.has("stats"));
     // Simulation-affecting parameters are all present.
     EXPECT_TRUE(doc.has("measure"));

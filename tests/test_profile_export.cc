@@ -39,7 +39,6 @@ quickConfig(const fs::path &dir)
     cfg.jobs = 2;
     cfg.statsJsonDir = (dir / "stats").string();
     cfg.traceOutDir = (dir / "traces").string();
-    cfg.traceFormat = "bin2";
     return cfg;
 }
 

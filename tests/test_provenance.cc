@@ -46,7 +46,6 @@ excludedValues()
 {
     static const std::map<std::string, std::string> values = {
         {"jobs", "4"},
-        {"latency.surface-check", "true"},
         {"profile", "true"},
         {"profile-out", kTempPath},
         {"progress", "off"},
@@ -57,7 +56,6 @@ excludedValues()
         {"telemetry.watchdog-intervals", "7"},
         {"trace-out", kTempPath},
         {"trace.attribution", "true"},
-        {"volatile-manifest", "true"},
     };
     return values;
 }

@@ -236,7 +236,7 @@ TEST(ExternParse, Dramsim3EveryTruncationNeverCrashes)
 TEST(ExternParse, Bin2RoundTripAndAutoDetect)
 {
     auto records = randomCtrlRecords(100, 0xB1);
-    std::string bytes = streamTrace(records, TraceFormat::BinaryV2, 16);
+    std::string bytes = streamTrace(records, 16);
     ExternParseResult result =
         parseExternTrace(bytes, ExternTraceFormat::Auto);
     ASSERT_TRUE(result.ok()) << result.error;
@@ -262,7 +262,7 @@ TEST(ExternParse, Bin2RoundTripAndAutoDetect)
 TEST(ExternParse, Bin2EveryTruncationIsAnError)
 {
     auto records = randomCtrlRecords(20, 0xB2);
-    std::string whole = streamTrace(records, TraceFormat::BinaryV2, 8);
+    std::string whole = streamTrace(records, 8);
     for (std::size_t len = 0; len < whole.size(); ++len) {
         ExternParseResult result = parseExternTrace(
             whole.substr(0, len), ExternTraceFormat::Auto);
@@ -276,7 +276,7 @@ TEST(ExternParse, Bin2EveryTruncationIsAnError)
 TEST(ExternParse, Bin2EveryByteFlipIsDetectedOrHarmless)
 {
     auto records = randomCtrlRecords(20, 0xB3);
-    std::string whole = streamTrace(records, TraceFormat::BinaryV2, 8);
+    std::string whole = streamTrace(records, 8);
     for (std::size_t pos = 0; pos < whole.size(); ++pos) {
         std::string flipped = whole;
         flipped[pos] ^= 0x01;
@@ -305,12 +305,12 @@ TEST(ExternParse, MixedFormatConfusionIsRejected)
         parseExternTrace(text, ExternTraceFormat::Bin2).ok());
 
     // bin2 bytes forced through the text parser.
-    std::string bin2 = streamTrace(randomCtrlRecords(10, 0xC2),
-                                   TraceFormat::BinaryV2, 4);
+    std::string bin2 = streamTrace(randomCtrlRecords(10, 0xC2), 4);
     EXPECT_FALSE(
         parseExternTrace(bin2, ExternTraceFormat::Dramsim3).ok());
 
-    // A controller CSV trace is neither format.
+    // The CSV view of a controller trace (trace_cat output) is
+    // neither format.
     std::string csv =
         "type,tick,channel,wordline,bitline,lrs_count,latency_ns,"
         "queue_depth\nW,1,0,0,0,0,1.0,0\n";
@@ -436,7 +436,7 @@ TEST(ExternSource, LrsContentSynthesisTracksRecordedCounts)
         records.push_back(r);
     }
     auto parsed = std::make_shared<ExternParseResult>(
-        parseExternTrace(streamTrace(records, TraceFormat::BinaryV2, 4),
+        parseExternTrace(streamTrace(records, 4),
                          ExternTraceFormat::Bin2));
     ASSERT_TRUE(parsed->ok()) << parsed->error;
     ExternTraceOptions opts;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Round-trip and robustness tests for the TraceReader library and the
- * trace file sink. The contract under test: every byte sequence —
- * valid traces in every encoding the sink writes, truncations, bit
+ * Round-trip and robustness tests for the TraceReader library, its
+ * CSV renderer and the trace file sink. The contract under test:
+ * every byte sequence — valid v2 and v3 traces, truncations, bit
  * flips, random garbage — is either parsed exactly or rejected with
  * ok() == false, never a crash or undefined behaviour (the CI
  * ASan/UBSan job runs this binary), and the sink holds at most
@@ -112,22 +112,15 @@ expectSameAttr(const WriteAttribution &a, const WriteAttribution &b,
 /** Drain @p reader and compare against @p expected exactly. */
 void
 expectReadsBack(TraceReader &reader,
-                const std::vector<CtrlTraceRecord> &expected,
-                bool exactLatency = true)
+                const std::vector<CtrlTraceRecord> &expected)
 {
     CtrlTraceRecord rec;
     std::size_t i = 0;
     while (reader.next(rec)) {
         ASSERT_LT(i, expected.size());
         expectSameRecord(rec, expected[i], i);
-        if (exactLatency) {
-            EXPECT_EQ(rec.latencyNs, expected[i].latencyNs)
-                << "record " << i;
-        } else {
-            // CSV prints latency with three decimals.
-            EXPECT_NEAR(rec.latencyNs, expected[i].latencyNs, 0.0006)
-                << "record " << i;
-        }
+        EXPECT_EQ(rec.latencyNs, expected[i].latencyNs)
+            << "record " << i;
         ++i;
     }
     EXPECT_TRUE(reader.ok()) << reader.error();
@@ -145,10 +138,8 @@ TEST(TraceReader, V2RoundTripAcrossChunkGeometries)
     for (const auto &c : cases) {
         auto records = randomRecords(c.count, 0xB000 + c.count);
         TraceReader reader;
-        ASSERT_TRUE(reader.openBuffer(
-            streamTrace(records, TraceFormat::BinaryV2, c.chunk)))
+        ASSERT_TRUE(reader.openBuffer(streamTrace(records, c.chunk)))
             << reader.error() << " count=" << c.count;
-        EXPECT_EQ(reader.format(), TraceFormat::BinaryV2);
         EXPECT_EQ(reader.version(), 2u);
         EXPECT_EQ(reader.totalRecords(), c.count);
         EXPECT_EQ(reader.chunkCount(),
@@ -157,25 +148,12 @@ TEST(TraceReader, V2RoundTripAcrossChunkGeometries)
     }
 }
 
-TEST(TraceReader, CsvRoundTrip)
-{
-    auto records = randomRecords(97, 0xC5);
-    TraceReader reader;
-    ASSERT_TRUE(
-        reader.openBuffer(streamTrace(records, TraceFormat::Csv, 64)))
-        << reader.error();
-    EXPECT_EQ(reader.format(), TraceFormat::Csv);
-    EXPECT_EQ(reader.version(), 0u);
-    EXPECT_FALSE(reader.knownTotal());
-    expectReadsBack(reader, records, /*exactLatency=*/false);
-}
-
 TEST(TraceReader, EmptyTracesRoundTrip)
 {
     const std::vector<CtrlTraceRecord> none;
     for (const std::string &bytes :
-         {streamTrace(none, TraceFormat::BinaryV2, 64),
-          streamTrace(none, TraceFormat::Csv, 64)}) {
+         {streamTrace(none, 64),
+          streamTrace(none, 64, /*attribution=*/true)}) {
         TraceReader reader;
         ASSERT_TRUE(reader.openBuffer(bytes)) << reader.error();
         CtrlTraceRecord rec;
@@ -189,8 +167,7 @@ TEST(TraceReader, V2ChunkIndexAndSeek)
 {
     const std::size_t chunk = 16;
     auto records = randomRecords(100, 0xD7);
-    std::string bytes =
-        streamTrace(records, TraceFormat::BinaryV2, chunk);
+    std::string bytes = streamTrace(records, chunk);
     TraceReader reader;
     ASSERT_TRUE(reader.openBuffer(bytes)) << reader.error();
     ASSERT_EQ(reader.chunkCount(), 7u);
@@ -223,8 +200,7 @@ TEST(TraceReader, V2ChunkIndexAndSeek)
 TEST(TraceReader, EveryTruncationIsAnErrorNotACrash)
 {
     auto records = randomRecords(20, 0xE1);
-    const std::string whole =
-        streamTrace(records, TraceFormat::BinaryV2, 8);
+    const std::string whole = streamTrace(records, 8);
     for (std::size_t len = 0; len < whole.size(); ++len) {
         TraceReader reader;
         reader.openBuffer(whole.substr(0, len));
@@ -239,54 +215,26 @@ TEST(TraceReader, EveryTruncationIsAnErrorNotACrash)
     }
 }
 
-TEST(TraceReader, CsvTruncationAndMalformedRowsError)
-{
-    auto records = randomRecords(5, 0xE2);
-    std::string whole = streamTrace(records, TraceFormat::Csv, 64);
-    // Truncating mid-row (not at a line boundary) must error.
-    std::size_t lastNewline = whole.find_last_of('\n', whole.size() - 2);
-    TraceReader reader;
-    reader.openBuffer(whole.substr(0, lastNewline + 5));
-    CtrlTraceRecord rec;
-    while (reader.next(rec)) {
-    }
-    EXPECT_FALSE(reader.ok());
-
-    const char *bad[] = {
-        // Wrong header.
-        "type,tick\nW,1,0,0,0,0,1.0,0\n",
-        // Bad kind letter.
-        "type,tick,channel,wordline,bitline,lrs_count,latency_ns,"
-        "queue_depth\nX,1,0,0,0,0,1.0,0\n",
-        // Missing fields.
-        "type,tick,channel,wordline,bitline,lrs_count,latency_ns,"
-        "queue_depth\nW,1,0,0\n",
-        // Out-of-range channel.
-        "type,tick,channel,wordline,bitline,lrs_count,latency_ns,"
-        "queue_depth\nW,1,4000,0,0,0,1.0,0\n",
-        // Trailing garbage on the row.
-        "type,tick,channel,wordline,bitline,lrs_count,latency_ns,"
-        "queue_depth\nW,1,0,0,0,0,1.0,0,junk\n",
-    };
-    for (const char *text : bad) {
-        TraceReader r;
-        r.openBuffer(text);
-        while (r.next(rec)) {
-        }
-        EXPECT_FALSE(r.ok()) << "accepted malformed CSV: " << text;
-    }
-}
-
 TEST(TraceReader, BadMagicAndVersionError)
 {
     auto records = randomRecords(4, 0xE3);
-    std::string v2 = streamTrace(records, TraceFormat::BinaryV2, 8);
+    std::string v2 = streamTrace(records, 8);
 
     std::string badMagic = v2;
     badMagic[3] ^= 0x40;
     TraceReader reader;
     EXPECT_FALSE(reader.openBuffer(badMagic));
     EXPECT_FALSE(reader.ok());
+
+    // CSV is a rendering, never an input: CSV text, like any file
+    // without the magic (however short), is unrecognized.
+    std::string csv = traceCsvHeader;
+    appendCsvRow(csv, records[0], /*attribution=*/false);
+    for (const std::string &text : {csv, std::string("LADD")}) {
+        TraceReader r;
+        EXPECT_FALSE(r.openBuffer(text));
+        EXPECT_EQ(r.error(), "unrecognized trace: no LADDRTRC magic");
+    }
 
     // Only versions 2 and 3 (attribution) are read: 99 never existed
     // and 1 is the packed layout without a chunk index.
@@ -303,7 +251,7 @@ TEST(TraceReader, BadMagicAndVersionError)
 TEST(TraceReader, EveryV2ByteFlipIsDetectedOrHarmless)
 {
     auto records = randomRecords(20, 0xE4);
-    std::string whole = streamTrace(records, TraceFormat::BinaryV2, 8);
+    std::string whole = streamTrace(records, 8);
     for (std::size_t pos = 0; pos < whole.size(); ++pos) {
         std::string flipped = whole;
         flipped[pos] ^= 0x01;
@@ -357,10 +305,10 @@ TEST(TraceStream, BoundedMemoryAndReadsBack)
 
     fs::path dir = fs::path(::testing::TempDir()) / "ladder_stream";
     fs::create_directories(dir);
-    for (TraceFormat format : {TraceFormat::BinaryV2, TraceFormat::Csv}) {
-        fs::path path = dir / ("stream." + traceFormatExtension(format));
+    for (bool attribution : {false, true}) {
+        fs::path path = dir / "trace.bin";
         {
-            WriteTraceSink sink(path.string(), format, chunk);
+            WriteTraceSink sink(path.string(), chunk, attribution);
             for (const auto &r : records)
                 sink.record(r);
             sink.finish();
@@ -373,11 +321,9 @@ TEST(TraceStream, BoundedMemoryAndReadsBack)
         // And the streamed file reads back exactly.
         TraceReader reader;
         ASSERT_TRUE(reader.open(path.string())) << reader.error();
-        if (format == TraceFormat::BinaryV2) {
-            EXPECT_GE(reader.chunkCount(), 10u);
-        }
-        expectReadsBack(reader, records,
-                        /*exactLatency=*/format != TraceFormat::Csv);
+        EXPECT_EQ(reader.attribution(), attribution);
+        EXPECT_GE(reader.chunkCount(), 10u);
+        expectReadsBack(reader, records);
     }
 
     fs::remove_all(dir);
@@ -393,7 +339,7 @@ TEST(TraceStream, ClearRestartsTheOutputFile)
     fs::path path = dir / "trace.bin";
 
     {
-        WriteTraceSink sink(path.string(), TraceFormat::BinaryV2, 16);
+        WriteTraceSink sink(path.string(), 16);
         for (const auto &r : ramp)
             sink.record(r);
         // System::run drops ramp records at the measured-window
@@ -409,7 +355,7 @@ TEST(TraceStream, ClearRestartsTheOutputFile)
     std::ostringstream os;
     os << is.rdbuf();
     EXPECT_EQ(os.str(),
-              streamTrace(measured, TraceFormat::BinaryV2, 16));
+              streamTrace(measured, 16));
 
     fs::remove_all(dir);
 }
@@ -418,8 +364,7 @@ TEST(TraceSummary, AggregatesMatchHandComputation)
 {
     auto records = randomRecords(500, 0x54);
     TraceReader reader;
-    ASSERT_TRUE(reader.openBuffer(
-        streamTrace(records, TraceFormat::BinaryV2, 64)))
+    ASSERT_TRUE(reader.openBuffer(streamTrace(records, 64)))
         << reader.error();
     TraceSummary s = summarizeTrace(reader);
     ASSERT_TRUE(reader.ok()) << reader.error();
@@ -464,8 +409,7 @@ windowRecords()
 TEST(TraceWindow, SkipsChunksOutsideTheTickWindow)
 {
     auto records = windowRecords();
-    const std::string bytes =
-        streamTrace(records, TraceFormat::BinaryV2, 8);
+    const std::string bytes = streamTrace(records, 8);
 
     // Window covering exactly chunk 1 (ticks 800..1500).
     TraceReader reader;
@@ -514,10 +458,9 @@ TEST(TraceAttr, V3AndCsvRoundTripTheBlameBlock)
     auto records = randomAttrRecords(131, 0xAA01);
     {
         TraceReader reader;
-        ASSERT_TRUE(reader.openBuffer(streamTrace(
-            records, TraceFormat::BinaryV2, 16, /*attribution=*/true)))
+        ASSERT_TRUE(reader.openBuffer(
+            streamTrace(records, 16, /*attribution=*/true)))
             << reader.error();
-        EXPECT_EQ(reader.format(), TraceFormat::BinaryV2);
         EXPECT_EQ(reader.version(), traceAttrVersion);
         EXPECT_TRUE(reader.attribution());
         CtrlTraceRecord rec;
@@ -532,33 +475,55 @@ TEST(TraceAttr, V3AndCsvRoundTripTheBlameBlock)
         EXPECT_TRUE(reader.ok()) << reader.error();
         EXPECT_EQ(i, records.size());
     }
-    {
-        TraceReader reader;
-        ASSERT_TRUE(reader.openBuffer(streamTrace(
-            records, TraceFormat::Csv, 64, /*attribution=*/true)))
-            << reader.error();
-        EXPECT_EQ(reader.format(), TraceFormat::Csv);
-        EXPECT_TRUE(reader.attribution());
-        CtrlTraceRecord rec;
-        std::size_t i = 0;
-        while (reader.next(rec)) {
-            ASSERT_LT(i, records.size());
-            expectSameRecord(rec, records[i], i);
-            expectSameAttr(rec.attr, records[i].attr, i);
-            ++i;
-        }
-        EXPECT_TRUE(reader.ok()) << reader.error();
-        EXPECT_EQ(i, records.size());
-    }
     // Base-format reads of the same records leave attr all zero.
     TraceReader base;
-    ASSERT_TRUE(
-        base.openBuffer(streamTrace(records, TraceFormat::BinaryV2, 16)))
+    ASSERT_TRUE(base.openBuffer(streamTrace(records, 16)))
         << base.error();
     EXPECT_FALSE(base.attribution());
     CtrlTraceRecord rec;
     while (base.next(rec))
         expectSameAttr(rec.attr, WriteAttribution{}, 0);
+
+    // The CSV view (what trace_cat dumps): a v2 or v3 stream read
+    // back and rendered gives this exact text. Latencies print with
+    // "%.3f" (658.2496f rounds up to 658.250; the exact tie 0.0625f
+    // rounds to even); blame ticks print signed.
+    CtrlTraceRecord w;
+    w.tick = 1234567890123;
+    w.channel = 3;
+    w.wordline = 511;
+    w.bitline = 1023;
+    w.lrsCount = 200;
+    w.latencyNs = 658.2496f;
+    w.queueDepth = 7;
+    w.attr = {-250, 1000, 0, 15000, 200000, 35000, -12, 7};
+    CtrlTraceRecord r;
+    r.tick = 1234567890999;
+    r.kind = CtrlTraceRecord::Kind::Read;
+    r.wordline = 2;
+    r.bitline = 4;
+    r.latencyNs = 0.0625f;
+    const std::string baseText =
+        std::string(traceCsvHeader) +
+        "W,1234567890123,3,511,1023,200,658.250,7\n"
+        "R,1234567890999,0,2,4,0,0.062,0\n";
+    const std::string attrText =
+        std::string(traceCsvHeaderAttr) +
+        "W,1234567890123,3,511,1023,200,658.250,7,"
+        "-250,1000,0,15000,200000,35000,-12,7\n"
+        "R,1234567890999,0,2,4,0,0.062,0,0,0,0,0,0,0,0,0\n";
+    for (bool attribution : {false, true}) {
+        TraceReader reader;
+        ASSERT_TRUE(reader.openBuffer(streamTrace({w, r}, 1, attribution)))
+            << reader.error();
+        ASSERT_EQ(reader.attribution(), attribution);
+        std::string text =
+            attribution ? traceCsvHeaderAttr : traceCsvHeader;
+        while (reader.next(rec))
+            appendCsvRow(text, rec, reader.attribution());
+        EXPECT_TRUE(reader.ok()) << reader.error();
+        EXPECT_EQ(text, attribution ? attrText : baseText);
+    }
 }
 
 TEST(TraceAttr, OffSerializationIgnoresPopulatedBlameBlocks)
@@ -571,48 +536,13 @@ TEST(TraceAttr, OffSerializationIgnoresPopulatedBlameBlocks)
     auto zeroed = records;
     for (auto &r : zeroed)
         r.attr = WriteAttribution{};
-    EXPECT_EQ(streamTrace(records, TraceFormat::BinaryV2, 8),
-              streamTrace(zeroed, TraceFormat::BinaryV2, 8));
-    EXPECT_EQ(streamTrace(records, TraceFormat::Csv, 64),
-              streamTrace(zeroed, TraceFormat::Csv, 64));
-}
-
-TEST(TraceAttr, CsvAttributionAddsExactlyTheBlameColumns)
-{
-    auto records = randomAttrRecords(48, 0xAA03);
-    std::istringstream attr(
-        streamTrace(records, TraceFormat::Csv, 64, /*attribution=*/true));
-    std::istringstream plain(streamTrace(records, TraceFormat::Csv, 64));
-    std::string attrLine, plainLine;
-    std::size_t line = 0;
-    while (std::getline(plain, plainLine)) {
-        ASSERT_TRUE(std::getline(attr, attrLine)) << "line " << line;
-        // Each attr row is the base row plus 8 comma fields.
-        ASSERT_GT(attrLine.size(), plainLine.size()) << attrLine;
-        if (line == 0) {
-            EXPECT_EQ(attrLine, std::string(traceCsvHeaderAttr)
-                                    .substr(0, attrLine.size()));
-        } else {
-            EXPECT_EQ(attrLine.substr(0, plainLine.size()),
-                      plainLine)
-                << "line " << line;
-            EXPECT_EQ(attrLine[plainLine.size()], ',');
-            std::size_t commas = 0;
-            for (std::size_t p = plainLine.size();
-                 p < attrLine.size(); ++p)
-                commas += attrLine[p] == ',' ? 1 : 0;
-            EXPECT_EQ(commas, 8u) << attrLine;
-        }
-        ++line;
-    }
-    EXPECT_FALSE(std::getline(attr, attrLine));
+    EXPECT_EQ(streamTrace(records, 8), streamTrace(zeroed, 8));
 }
 
 TEST(TraceAttr, V3TruncationWallErrorsNeverCrash)
 {
     auto records = randomAttrRecords(20, 0xAA04);
-    const std::string whole =
-        streamTrace(records, TraceFormat::BinaryV2, 8, /*attribution=*/true);
+    const std::string whole = streamTrace(records, 8, /*attribution=*/true);
     for (std::size_t len = 0; len < whole.size(); ++len) {
         TraceReader reader;
         reader.openBuffer(whole.substr(0, len));
@@ -628,8 +558,7 @@ TEST(TraceAttr, V3TruncationWallErrorsNeverCrash)
 TEST(TraceAttr, EveryV3ByteFlipIsDetectedOrHarmless)
 {
     auto records = randomAttrRecords(20, 0xAA05);
-    const std::string whole =
-        streamTrace(records, TraceFormat::BinaryV2, 8, /*attribution=*/true);
+    const std::string whole = streamTrace(records, 8, /*attribution=*/true);
     for (std::size_t pos = 0; pos < whole.size(); ++pos) {
         std::string flipped = whole;
         flipped[pos] ^= 0x01;
@@ -658,7 +587,7 @@ TEST(TraceAttr, EveryV3ByteFlipIsDetectedOrHarmless)
 TEST(TraceWindow, SkippedChunksAreNeverCrcCheckedOrDecoded)
 {
     auto records = windowRecords();
-    std::string bytes = streamTrace(records, TraceFormat::BinaryV2, 8);
+    std::string bytes = streamTrace(records, 8);
 
     // Corrupt a *payload* byte of chunk 2 — the lrsCount field of
     // its fourth record, well away from the peeked tick bytes — so
