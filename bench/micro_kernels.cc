@@ -242,6 +242,65 @@ BM_BackingStoreWrite(benchmark::State &state)
 BENCHMARK(BM_BackingStoreWrite);
 
 /**
+ * BLP's per-write bitline scan over blocks of 2048 resident pages
+ * spread across 128 mat groups (8 MiB of counters, beyond the caches).
+ */
+void
+BM_BackingStoreMaxSelectedBitlineLrs(benchmark::State &state)
+{
+    BackingStore store(MemoryGeometry{}, true, 0.4);
+    Rng rng(12);
+    std::vector<Addr> blocks;
+    for (std::uint64_t page = 0; page < 2048; ++page) {
+        Addr addr = page * MemoryGeometry::pageBytes;
+        store.write(addr, randomLine(rng));
+        blocks.push_back(addr + rng.nextBounded(64) * lineBytes);
+    }
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            store.maxSelectedBitlineLrs(blocks[i % blocks.size()]));
+        i += 797; // odd stride: visit every block, out of order
+    }
+}
+BENCHMARK(BM_BackingStoreMaxSelectedBitlineLrs);
+
+/**
+ * First touch of a page with random initial content: payload copy,
+ * wordline counters and the fold into the bitline counters. Pages
+ * 128 apart share a mat group (consecutive wordlines); a fresh store
+ * every 64 pages bounds the memory held.
+ */
+void
+BM_BackingStoreFirstTouch(benchmark::State &state)
+{
+    Rng rng(13);
+    auto content = std::make_shared<PageContent>();
+    for (auto &block : content->blocks)
+        block = randomLine(rng);
+    std::unique_ptr<BackingStore> store;
+    constexpr std::uint64_t pagesPerStore = 64;
+    std::uint64_t page = 0;
+    for (auto _ : state) {
+        if (page % pagesPerStore == 0) {
+            state.PauseTiming();
+            store = std::make_unique<BackingStore>(MemoryGeometry{}, true,
+                                                   0.4);
+            store->setPageInitializer(
+                [content](std::uint64_t, PageContent &out) {
+                    out.blocks = content->blocks;
+                });
+            state.ResumeTiming();
+        }
+        benchmark::DoNotOptimize(store->read(
+            page % pagesPerStore * 128 * MemoryGeometry::pageBytes));
+        ++page;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(page));
+}
+BENCHMARK(BM_BackingStoreFirstTouch);
+
+/**
  * Full controller write path — enqueue through dispatch to
  * completion — with the latency-attribution knob off (Arg 0) and on
  * (Arg 1). The two timings bound what trace.attribution=1 costs per

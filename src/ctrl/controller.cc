@@ -176,10 +176,10 @@ MemoryController::notifyRetry()
 }
 
 LineData
-MemoryController::readLogical(Addr physLineAddr)
+MemoryController::readLogical(Addr physLineAddr, const BlockLocation &loc)
 {
-    LineData raw = store_.read(physLineAddr);
-    if (store_.flipped(physLineAddr))
+    LineData raw = store_.read(loc);
+    if (store_.flipped(loc))
         raw = invertLine(raw);
     return scheme_->decodeData(physLineAddr, raw);
 }
@@ -187,21 +187,23 @@ MemoryController::readLogical(Addr physLineAddr)
 LineData
 MemoryController::functionalRead(Addr lineAddr)
 {
-    return readLogical(physAddr(lineAddr));
+    Addr phys = physAddr(lineAddr);
+    return readLogical(phys, map_.decode(phys));
 }
 
 void
 MemoryController::functionalWrite(Addr lineAddr, const LineData &data)
 {
     Addr phys = physAddr(lineAddr);
+    BlockLocation loc = map_.decode(phys);
     LineData encoded = scheme_->encodeData(phys, data);
     FnwMode mode = cfg_.fnwMode;
     if (mode != FnwMode::Off && scheme_->constrainedFnw())
         mode = FnwMode::Constrained;
-    const LineData &stored = store_.read(phys);
+    const LineData &stored = store_.read(loc);
     FnwDecision fnw = fnwDecide(stored, encoded, mode);
-    store_.setFlipped(phys, fnw.flip);
-    store_.write(phys, fnw.data);
+    store_.setFlipped(loc, fnw.flip);
+    store_.write(loc, fnw.data);
 }
 
 void
@@ -554,7 +556,7 @@ MemoryController::completeRead(ReadEntry entry, Tick when)
 {
     switch (entry.kind) {
       case ReadKind::Data: {
-        LineData logical = readLogical(entry.addr);
+        LineData logical = readLogical(entry.addr, entry.loc);
         double latencyNs = ticksToNs(when - entry.enqueueTick);
         readLatencyNs.sample(latencyNs);
         readLatencyHistNs.sample(latencyNs);
@@ -616,7 +618,7 @@ MemoryController::completeRead(ReadEntry entry, Tick when)
       }
       case ReadKind::StaleBlock: {
         if (WriteEntry *w = findWrite(entry.writeId)) {
-            w->smbData = store_.read(entry.addr);
+            w->smbData = store_.read(entry.loc);
             w->smbReady = true;
             if (cfg_.attribution && w->ready())
                 w->readyTick = events_.now();
@@ -788,7 +790,7 @@ MemoryController::issueOneWrite()
         FnwMode mode = cfg_.fnwMode;
         if (mode != FnwMode::Off && scheme_->constrainedFnw())
             mode = FnwMode::Constrained;
-        const LineData &stored = store_.read(taken.addr);
+        const LineData &stored = store_.read(taken.loc);
         FnwDecision fnw = fnwDecide(stored, taken.physData, mode);
         if (fnw.flip)
             ++fnwFlips;
@@ -799,7 +801,7 @@ MemoryController::issueOneWrite()
         // scheme decision, power accounting, and the trace record
         // (the store cannot change before completeWrite persists).
         taken.dispatchCw = store_.maxMatLrsCount(taken.loc.pageIndex);
-        taken.dispatchCbl = store_.maxSelectedBitlineLrs(taken.addr);
+        taken.dispatchCbl = store_.maxSelectedBitlineLrs(taken.loc);
 
         WriteDecision decision =
             scheme_->decideWrite(*this, taken, fnw.data);
@@ -879,8 +881,8 @@ MemoryController::completeWrite(WriteEntry entry, double latencyNs,
         writeEnergyPj += energyPj;
         ++pageWrites_[entry.addr / MemoryGeometry::pageBytes];
     } else {
-        store_.setFlipped(entry.addr, entry.schemeScratch != 0);
-        BitTransitions t = store_.write(entry.addr, entry.physData);
+        store_.setFlipped(entry.loc, entry.schemeScratch != 0);
+        BitTransitions t = store_.write(entry.loc, entry.physData);
         cellResets += t.resets;
         cellSets += t.sets;
         energyPj += (t.resets + t.sets) * cfg_.transitionEnergyPj;
@@ -905,7 +907,8 @@ MemoryController::completeWrite(WriteEntry entry, double latencyNs,
             for (const RemapMove &move : remapper_->collectMoves()) {
                 // Copy the line: logical content out of the old slot,
                 // rewritten (re-encoded) into the new physical slot.
-                LineData logical = readLogical(move.from);
+                LineData logical =
+                    readLogical(move.from, map_.decode(move.from));
                 injectPhysicalWrite(move.to, logical);
             }
         }

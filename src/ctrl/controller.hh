@@ -318,7 +318,7 @@ class MemoryController
     void issueMetaFill(PendingMetaFill &fill);
     void retrySpills();
     void notifyRetry();
-    LineData readLogical(Addr physLineAddr);
+    LineData readLogical(Addr physLineAddr, const BlockLocation &loc);
     double metadataWriteLatencyNs(const BlockLocation &loc,
                                   double &powerMw) const;
 };

@@ -1,11 +1,58 @@
 #include "backing_store.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/log.hh"
 
 namespace ladder
 {
+
+namespace
+{
+
+/**
+ * A byte's 8 bits spread over eight 16-bit lanes, as two words of four
+ * lanes each (bits 0-3, bits 4-7) in memory order: adding a word to 4
+ * contiguous uint16_t counters adds each bit to its own counter.
+ */
+using ByteLanes = std::array<std::uint64_t, 2>;
+
+constexpr auto laneTable = [] {
+    std::array<ByteLanes, 256> table{};
+    for (unsigned byte = 0; byte < 256; ++byte) {
+        for (unsigned half = 0; half < 2; ++half) {
+            std::array<std::uint16_t, 4> lanes{};
+            for (unsigned i = 0; i < 4; ++i)
+                lanes[i] = static_cast<std::uint16_t>(
+                    (byte >> (half * 4 + i)) & 1);
+            table[byte][half] = std::bit_cast<std::uint64_t>(lanes);
+        }
+    }
+    return table;
+}();
+
+/** counts[i] += lane i of @p up - lane i of @p down, for i in 0..7. */
+inline void
+addLanes(std::uint16_t *counts, const ByteLanes &up, const ByteLanes &down)
+{
+    for (unsigned half = 0; half < 2; ++half) {
+        std::uint64_t word;
+        std::memcpy(&word, counts + half * 4, sizeof(word));
+        word += up[half] - down[half];
+        std::memcpy(counts + half * 4, &word, sizeof(word));
+    }
+}
+
+/** Sum of the four lanes of @p word (each partial sum below 2^16). */
+inline unsigned
+laneSum(std::uint64_t word)
+{
+    return static_cast<unsigned>((word * 0x0001000100010001ull) >> 48);
+}
+
+} // anonymous namespace
 
 BackingStore::BackingStore(const MemoryGeometry &geo, bool trackBitlines,
                            double backgroundDensity)
@@ -16,6 +63,9 @@ BackingStore::BackingStore(const MemoryGeometry &geo, bool trackBitlines,
 {
     ladder_assert(backgroundDensity >= 0.0 && backgroundDensity <= 1.0,
                   "background density out of range");
+    ladder_assert(geo.matRows <= MemoryGeometry::maxMatRows,
+                  "%u rows per mat overflow the 16-bit bitline counters",
+                  geo.matRows);
 }
 
 void
@@ -25,43 +75,45 @@ BackingStore::setPageInitializer(PageInitializer init)
 }
 
 PageContent &
-BackingStore::page(std::uint64_t pageIndex)
+BackingStore::materialize(std::uint64_t pageIndex)
 {
-    auto it = pages_.find(pageIndex);
-    if (it != pages_.end())
-        return it->second;
+    ladder_assert(pageIndex < map_.totalPages(),
+                  "page %llu beyond memory capacity",
+                  static_cast<unsigned long long>(pageIndex));
+    std::uint64_t leaf = pageIndex >> leafBits;
+    if (leaf >= directory_.size())
+        directory_.resize(leaf + 1);
+    if (!directory_[leaf])
+        directory_[leaf] = std::make_unique<PageLeaf>();
 
-    PageContent &content = pages_[pageIndex];
+    PageContent &content = pages_.emplace_back();
+    (*directory_[leaf])[pageIndex & leafMask] = &content;
     if (init_)
         init_(pageIndex, content);
-    // Establish the mat counters from the initial content.
-    for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat) {
-        unsigned count = 0;
-        for (const auto &block : content.blocks)
-            count += popcount8(block[mat]);
-        content.matCounts[mat] = static_cast<std::uint16_t>(count);
-    }
-    if (trackBitlines_) {
-        // Fold the initial content into the bitline counters.
-        BlockLocation loc = map_.decode(pageIndex *
-                                        MemoryGeometry::pageBytes);
-        auto &counters = groupCounters(loc);
-        for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b) {
-            const LineData &block = content.blocks[b];
-            for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup;
-                 ++mat) {
-                std::uint8_t byte = block[mat];
-                while (byte) {
-                    unsigned bit =
-                        static_cast<unsigned>(std::countr_zero(byte));
-                    byte = static_cast<std::uint8_t>(byte &
-                                                     (byte - 1));
-                    ++counters.counts[mat * geo_.matCols + b * 8 +
-                                      bit];
-                }
+    // Fold the initial content into the mat counters and the bitline
+    // counters. The page owns byte slot b of every mat of its group,
+    // so it walks the whole counter block once, in order.
+    std::uint16_t *counts = nullptr;
+    if (trackBitlines_)
+        counts = groupCounters(map_.decode(pageIndex *
+                                           MemoryGeometry::pageBytes))
+                     .counts.data();
+    // Per mat, its bit columns' counts over the page: each block adds
+    // at most 2 to a lane (lanes[0] + lanes[1]), so a lane stays <= 128.
+    std::array<std::uint64_t, MemoryGeometry::matsPerGroup> matLanes{};
+    for (const auto &block : content.blocks) {
+        for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat) {
+            const ByteLanes &lanes = laneTable[block[mat]];
+            matLanes[mat] += lanes[0] + lanes[1];
+            if (counts) {
+                addLanes(counts, lanes, laneTable[0]);
+                counts += 8;
             }
         }
     }
+    for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat)
+        content.matCounts[mat] =
+            static_cast<std::uint16_t>(laneSum(matLanes[mat]));
     return content;
 }
 
@@ -76,77 +128,48 @@ BackingStore::MatGroupCounters &
 BackingStore::groupCounters(const BlockLocation &loc)
 {
     auto key = matGroupKey(loc);
-    auto it = groupCounters_.find(key);
-    if (it == groupCounters_.end()) {
-        auto counters = std::make_unique<MatGroupCounters>();
+    if (key >= groupCounters_.size())
+        groupCounters_.resize(key + 1);
+    auto &counters = groupCounters_[key];
+    if (!counters) {
         // Rows outside the simulated working set are assumed occupied
         // by background data at the configured density.
-        auto background = static_cast<std::uint16_t>(
-            backgroundDensity_ * static_cast<double>(geo_.matRows));
-        counters->counts.assign(
-            static_cast<std::size_t>(MemoryGeometry::matsPerGroup) *
-                geo_.matCols,
-            background);
-        it = groupCounters_.emplace(key, std::move(counters)).first;
+        counters = std::make_unique_for_overwrite<MatGroupCounters>();
+        counters->counts.fill(static_cast<std::uint16_t>(
+            backgroundDensity_ * static_cast<double>(geo_.matRows)));
     }
-    return *it->second;
-}
-
-const LineData &
-BackingStore::read(Addr lineAddr)
-{
-    BlockLocation loc = map_.decode(lineAddr);
-    return page(loc.pageIndex).blocks[loc.blockInPage];
+    return *counters;
 }
 
 BitTransitions
-BackingStore::write(Addr lineAddr, const LineData &data)
+BackingStore::write(const BlockLocation &loc, const LineData &data)
 {
-    BlockLocation loc = map_.decode(lineAddr);
     PageContent &content = page(loc.pageIndex);
     LineData &block = content.blocks[loc.blockInPage];
 
     BitTransitions transitions = countTransitions(block, data);
-    for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat) {
-        int delta = static_cast<int>(popcount8(data[mat])) -
-                    static_cast<int>(popcount8(block[mat]));
-        content.matCounts[mat] =
-            static_cast<std::uint16_t>(content.matCounts[mat] + delta);
-    }
+    std::uint16_t *counts = nullptr;
     if (trackBitlines_)
-        applyBitlineDeltas(loc, block, data);
+        counts = groupCounters(loc).counts.data() +
+                 loc.blockInPage * slotCounters;
+    for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat) {
+        std::uint8_t changed = block[mat] ^ data[mat];
+        const ByteLanes &up = laneTable[changed & data[mat]];
+        const ByteLanes &down = laneTable[changed & block[mat]];
+        content.matCounts[mat] = static_cast<std::uint16_t>(
+            content.matCounts[mat] + laneSum(up[0] + up[1]) -
+            laneSum(down[0] + down[1]));
+        if (counts)
+            addLanes(counts + mat * 8, up, down);
+    }
     block = data;
     return transitions;
-}
-
-void
-BackingStore::applyBitlineDeltas(const BlockLocation &loc,
-                                 const LineData &before,
-                                 const LineData &after)
-{
-    auto &counters = groupCounters(loc);
-    const unsigned base = loc.blockInPage * 8;
-    for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat) {
-        std::uint8_t changed = before[mat] ^ after[mat];
-        while (changed) {
-            unsigned bit =
-                static_cast<unsigned>(std::countr_zero(changed));
-            changed = static_cast<std::uint8_t>(changed &
-                                                (changed - 1));
-            auto &count =
-                counters.counts[mat * geo_.matCols + base + bit];
-            if (after[mat] & (1u << bit))
-                ++count;
-            else
-                --count;
-        }
-    }
 }
 
 bool
 BackingStore::pageResident(std::uint64_t pageIndex) const
 {
-    return pages_.count(pageIndex) != 0;
+    return find(pageIndex) != nullptr;
 }
 
 std::uint16_t
@@ -165,34 +188,42 @@ BackingStore::maxMatLrsCount(std::uint64_t pageIndex)
 }
 
 std::uint16_t
-BackingStore::maxSelectedBitlineLrs(Addr lineAddr)
+BackingStore::maxSelectedBitlineLrs(const BlockLocation &loc)
 {
     ladder_assert(trackBitlines_,
                   "bitline tracking disabled in backing store");
-    BlockLocation loc = map_.decode(lineAddr);
     // Materialize the page so the counters reflect its content.
     page(loc.pageIndex);
-    auto &counters = groupCounters(loc);
-    const unsigned base = loc.blockInPage * 8;
+    const std::uint16_t *slot = groupCounters(loc).counts.data() +
+                                loc.blockInPage * slotCounters;
     std::uint16_t best = 0;
-    for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat)
-        for (unsigned bit = 0; bit < 8; ++bit)
-            best = std::max(
-                best, counters.counts[mat * geo_.matCols + base + bit]);
+    for (unsigned i = 0; i < slotCounters; ++i)
+        best = std::max(best, slot[i]);
     return best;
 }
 
-bool
-BackingStore::flipped(Addr lineAddr)
+std::uint16_t
+BackingStore::bitlineLrsCount(const BlockLocation &loc, unsigned mat,
+                              unsigned bit)
 {
-    BlockLocation loc = map_.decode(lineAddr);
+    ladder_assert(trackBitlines_,
+                  "bitline tracking disabled in backing store");
+    ladder_assert(mat < MemoryGeometry::matsPerGroup && bit < 8,
+                  "bitline (mat %u, bit %u) out of range", mat, bit);
+    page(loc.pageIndex);
+    return groupCounters(loc)
+        .counts[loc.blockInPage * slotCounters + mat * 8 + bit];
+}
+
+bool
+BackingStore::flipped(const BlockLocation &loc)
+{
     return (page(loc.pageIndex).flippedMask >> loc.blockInPage) & 1;
 }
 
 void
-BackingStore::setFlipped(Addr lineAddr, bool value)
+BackingStore::setFlipped(const BlockLocation &loc, bool value)
 {
-    BlockLocation loc = map_.decode(lineAddr);
     std::uint64_t bit = 1ull << loc.blockInPage;
     auto &mask = page(loc.pageIndex).flippedMask;
     if (value)

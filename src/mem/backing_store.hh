@@ -15,6 +15,33 @@
  *
  * Pages are materialized lazily; an installable initializer provides
  * first-touch content so workloads see realistic resident data.
+ *
+ * Layout:
+ *
+ *  - **Bitline counters** are block-slot-major: a mat group's counter
+ *    for bitline 8b + bit of mat m sits at `(b * 64 + m) * 8 + bit`.
+ *    The 512 bitlines one block write selects (8 in each of 64 mats)
+ *    are therefore one contiguous 1 KiB slice, and the 8 counters of
+ *    byte (b, m) are two words of four 16-bit lanes that a 256-entry
+ *    table updates with two 64-bit adds; the same table entries sum to
+ *    the byte's popcount for the wordline counters. A lane never
+ *    carries or borrows: a count is at most background + matRows <=
+ *    2 * MemoryGeometry::maxMatRows < 2^16, and a count is decremented
+ *    only while its bit is set.
+ *  - **Pages** live in a slab (a deque, one allocation per page) and
+ *    are found through a two-level directory: `pageIndex >> 9` picks a
+ *    lazily allocated leaf of 512 page pointers. Counter blocks are
+ *    found by dense mat-group index. Both index vectors grow to the
+ *    highest index touched (16 KiB each at most for the default
+ *    geometry). There is no hashing on any path.
+ *  - **References stay valid.** A page never moves once materialized,
+ *    so a `LineData &` or `PageContent &` handed out stays valid for
+ *    the store's lifetime, across later first touches.
+ *
+ * Every accessor has a `BlockLocation` form, so a caller that already
+ * decoded the address (the controller carries the location in each
+ * queue entry) does not decode it again; the `Addr` forms decode and
+ * forward.
  */
 
 #ifndef LADDER_MEM_BACKING_STORE_HH
@@ -22,9 +49,9 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -72,14 +99,24 @@ class BackingStore
     void setPageInitializer(PageInitializer init);
 
     /** Read a block's payload (materializes the page). */
-    const LineData &read(Addr lineAddr);
+    const LineData &
+    read(const BlockLocation &loc)
+    {
+        return page(loc.pageIndex).blocks[loc.blockInPage];
+    }
+    const LineData &read(Addr lineAddr) { return read(map_.decode(lineAddr)); }
 
     /**
      * Write a block's payload, updating all LRS statistics.
      *
      * @return The bit transitions performed (for energy/FNW stats).
      */
-    BitTransitions write(Addr lineAddr, const LineData &data);
+    BitTransitions write(const BlockLocation &loc, const LineData &data);
+    BitTransitions
+    write(Addr lineAddr, const LineData &data)
+    {
+        return write(map_.decode(lineAddr), data);
+    }
 
     /** Whether a page has been materialized. */
     bool pageResident(std::uint64_t pageIndex) const;
@@ -95,11 +132,29 @@ class BackingStore
      * block write selects (8 bitlines in each of 64 mats).
      * Requires trackBitlines.
      */
-    std::uint16_t maxSelectedBitlineLrs(Addr lineAddr);
+    std::uint16_t maxSelectedBitlineLrs(const BlockLocation &loc);
+    std::uint16_t
+    maxSelectedBitlineLrs(Addr lineAddr)
+    {
+        return maxSelectedBitlineLrs(map_.decode(lineAddr));
+    }
+
+    /**
+     * LRS count of one bitline the block at @p loc selects: bitline
+     * 8 * blockInPage + bit of mat @p mat. Requires trackBitlines.
+     */
+    std::uint16_t bitlineLrsCount(const BlockLocation &loc, unsigned mat,
+                                  unsigned bit);
 
     /** FNW flag for a block. */
-    bool flipped(Addr lineAddr);
-    void setFlipped(Addr lineAddr, bool value);
+    bool flipped(const BlockLocation &loc);
+    bool flipped(Addr lineAddr) { return flipped(map_.decode(lineAddr)); }
+    void setFlipped(const BlockLocation &loc, bool value);
+    void
+    setFlipped(Addr lineAddr, bool value)
+    {
+        setFlipped(map_.decode(lineAddr), value);
+    }
 
     /** Number of materialized pages. */
     std::size_t residentPages() const { return pages_.size(); }
@@ -108,29 +163,53 @@ class BackingStore
     const MemoryGeometry &geometry() const { return geo_; }
 
   private:
-    /** Per-mat-group bitline LRS counters (64 mats x cols bitlines). */
+    /** Bitline counters of one block slot: 8 bitlines x 64 mats. */
+    static constexpr unsigned slotCounters =
+        MemoryGeometry::matsPerGroup * 8;
+    /** Page pointers per directory leaf. */
+    static constexpr unsigned leafBits = 9;
+    static constexpr std::uint64_t leafMask = (1u << leafBits) - 1;
+
+    /** Per-mat-group bitline LRS counters, [block slot][mat][bit]. */
     struct MatGroupCounters
     {
-        std::vector<std::uint16_t> counts;
+        std::array<std::uint16_t,
+                   MemoryGeometry::blocksPerPage * slotCounters>
+            counts;
     };
+    using PageLeaf = std::array<PageContent *, 1u << leafBits>;
 
     MemoryGeometry geo_;
     AddressMap map_;
     bool trackBitlines_;
     double backgroundDensity_;
     PageInitializer init_;
-    /** Materialized pages, by page index. */
-    std::unordered_map<std::uint64_t, PageContent> pages_;
+    /** Materialized pages, in first-touch order; never move. */
+    std::deque<PageContent> pages_;
+    /** Page directory: leaf pageIndex >> leafBits, slot in the leaf. */
+    std::vector<std::unique_ptr<PageLeaf>> directory_;
     /** Bitline counters, by matGroupKey(). */
-    std::unordered_map<std::uint64_t, std::unique_ptr<MatGroupCounters>>
-        groupCounters_;
+    std::vector<std::unique_ptr<MatGroupCounters>> groupCounters_;
 
-    PageContent &page(std::uint64_t pageIndex);
+    /** The resident page, or nullptr. */
+    PageContent *
+    find(std::uint64_t pageIndex) const
+    {
+        std::uint64_t leaf = pageIndex >> leafBits;
+        if (leaf >= directory_.size() || !directory_[leaf])
+            return nullptr;
+        return (*directory_[leaf])[pageIndex & leafMask];
+    }
+    PageContent &
+    page(std::uint64_t pageIndex)
+    {
+        if (PageContent *content = find(pageIndex))
+            return *content;
+        return materialize(pageIndex);
+    }
+    PageContent &materialize(std::uint64_t pageIndex);
     std::uint64_t matGroupKey(const BlockLocation &loc) const;
     MatGroupCounters &groupCounters(const BlockLocation &loc);
-    void applyBitlineDeltas(const BlockLocation &loc,
-                            const LineData &before,
-                            const LineData &after);
 };
 
 } // namespace ladder

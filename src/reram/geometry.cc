@@ -38,7 +38,7 @@ AddressMap::decode(Addr byteAddr) const
                   "address 0x%llx beyond memory capacity",
                   static_cast<unsigned long long>(byteAddr));
 
-    loc.channel = static_cast<unsigned>(page % geo_.channels);
+    loc.channel = channelOf(byteAddr);
     std::uint64_t rest = page / geo_.channels;
 
     unsigned banksPerChannel = geo_.ranksPerChannel * geo_.banksPerRank;

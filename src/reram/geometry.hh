@@ -30,12 +30,18 @@ struct MemoryGeometry
     unsigned chipsPerRank = 8;
     unsigned matGroupsPerBank = 64; //!< 64-mat groups per bank
     unsigned matRows = 512;         //!< wordlines per mat
-    unsigned matCols = 512;         //!< bitlines per mat
 
     /** Mats that cooperate to store one block. */
     static constexpr unsigned matsPerGroup = 64;
     /** Blocks per page / byte slots per wordline. */
     static constexpr unsigned blocksPerPage = 64;
+    /** Bitlines per mat: one byte slot of 8 bitlines per block. */
+    static constexpr unsigned matCols = blocksPerPage * 8;
+    /**
+     * Largest matRows: a bitline's LRS count (background rows plus
+     * resident rows, at most 2 * matRows) must fit in 16 bits.
+     */
+    static constexpr unsigned maxMatRows = 16384;
     /** Bytes per page. */
     static constexpr unsigned pageBytes = blocksPerPage * lineBytes;
 
@@ -113,6 +119,13 @@ class AddressMap
     pageOf(Addr byteAddr) const
     {
         return byteAddr / MemoryGeometry::pageBytes;
+    }
+
+    /** decode(byteAddr).channel, without decoding the rest. */
+    unsigned
+    channelOf(Addr byteAddr) const
+    {
+        return static_cast<unsigned>(pageOf(byteAddr) % geo_.channels);
     }
 
     /** Total pages addressable. */

@@ -133,18 +133,19 @@ LadderEstScheme::decodeData(Addr addr, const LineData &data) const
 }
 
 std::array<std::uint8_t, 64> &
-LadderEstScheme::pageShadow(MemoryController &ctrl, std::uint64_t page)
+LadderEstScheme::pageShadow(MemoryController &ctrl,
+                            const BlockLocation &loc)
 {
-    auto it = shadow_.find(page);
+    auto it = shadow_.find(loc.pageIndex);
     if (it != shadow_.end())
         return it->second;
     // First touch: derive the packed counters from the resident
     // content, as if the metadata had been maintained since boot.
-    auto &packed = shadow_[page];
+    auto &packed = shadow_[loc.pageIndex];
+    BlockLocation block = loc;
     for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b) {
-        Addr blockAddr = page * MemoryGeometry::pageBytes +
-                         static_cast<Addr>(b) * lineBytes;
-        packed[b] = packPartialCounters2(ctrl.store().read(blockAddr));
+        block.blockInPage = b;
+        packed[b] = packPartialCounters2(ctrl.store().read(block));
     }
     return packed;
 }
@@ -161,7 +162,7 @@ WriteDecision
 LadderEstScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
                              const LineData &finalData)
 {
-    auto &packed = pageShadow(ctrl, entry.loc.pageIndex);
+    auto &packed = pageShadow(ctrl, entry.loc);
     unsigned cwEst = estimateCw2(packed);
     estimatedCw.sample(cwEst);
     unsigned cwTrue = entry.dispatchCw;
@@ -235,16 +236,16 @@ LadderHybridScheme::lowPrecision(const BlockLocation &loc) const
 
 std::array<std::uint8_t, 64> &
 LadderHybridScheme::lowPageShadow(MemoryController &ctrl,
-                                  std::uint64_t page)
+                                  const BlockLocation &loc)
 {
-    auto it = lowShadow_.find(page);
+    auto it = lowShadow_.find(loc.pageIndex);
     if (it != lowShadow_.end())
         return it->second;
-    auto &packed = lowShadow_[page];
+    auto &packed = lowShadow_[loc.pageIndex];
+    BlockLocation block = loc;
     for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b) {
-        Addr blockAddr = page * MemoryGeometry::pageBytes +
-                         static_cast<Addr>(b) * lineBytes;
-        packed[b] = packPartialCounters1(ctrl.store().read(blockAddr));
+        block.blockInPage = b;
+        packed[b] = packPartialCounters1(ctrl.store().read(block));
     }
     return packed;
 }
@@ -269,7 +270,7 @@ LadderHybridScheme::decideWrite(MemoryController &ctrl,
     if (!lowPrecision(entry.loc))
         return LadderEstScheme::decideWrite(ctrl, entry, finalData);
 
-    auto &packed = lowPageShadow(ctrl, entry.loc.pageIndex);
+    auto &packed = lowPageShadow(ctrl, entry.loc);
     unsigned cwEst = estimateCw1(packed);
     estimatedCw.sample(cwEst);
     const TimingEntry &t = ctrl.ladderTiming(

@@ -110,8 +110,9 @@ class LadderEstScheme : public WriteScheme
     /** Shadow contents of the per-page metadata lines, by page. */
     ShadowMap shadow_;
 
+    /** Shadow of the page holding @p loc (built at first touch). */
     std::array<std::uint8_t, 64> &pageShadow(MemoryController &ctrl,
-                                             std::uint64_t page);
+                                             const BlockLocation &loc);
     unsigned shiftAmount(Addr lineAddr) const;
 };
 
@@ -138,7 +139,7 @@ class LadderHybridScheme : public LadderEstScheme
 
     bool lowPrecision(const BlockLocation &loc) const;
     std::array<std::uint8_t, 64> &lowPageShadow(MemoryController &ctrl,
-                                                std::uint64_t page);
+                                                const BlockLocation &loc);
 };
 
 } // namespace ladder

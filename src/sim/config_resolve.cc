@@ -250,10 +250,8 @@ registerExperimentParams(Registry &reg)
         "64-mat groups per bank", 1, 1024);
     reg.addInt<unsigned>("geom.mat-rows",
                          LADDER_FIELD(system.geometry.matRows),
-                         "Wordlines per mat", 8, 65536);
-    reg.addInt<unsigned>("geom.mat-cols",
-                         LADDER_FIELD(system.geometry.matCols),
-                         "Bitlines per mat", 8, 65536);
+                         "Wordlines per mat", 8,
+                         MemoryGeometry::maxMatRows);
 
     // ---------------------------------------------------------------
     // Crossbar / circuit model

@@ -74,6 +74,14 @@ System::System(const SystemConfig &config) : config_(config)
     ladder_assert(config_.workloads.size() == 1 ||
                       config_.workloads.size() == 4,
                   "workloads must be a single program or a 4-mix");
+    // The crossbar the timing model solves is one mat: the location
+    // lookups index its rows and columns by wordline and bitline.
+    ladder_assert(config_.crossbar.rows == config_.geometry.matRows &&
+                      config_.crossbar.cols == MemoryGeometry::matCols,
+                  "crossbar %zux%zu (xbar.rows x xbar.cols) is not one "
+                  "mat of %u wordlines (geom.mat-rows) x %u bitlines",
+                  config_.crossbar.rows, config_.crossbar.cols,
+                  config_.geometry.matRows, MemoryGeometry::matCols);
 
     timing_ = &cachedTimingModel(config_.crossbar,
                                  config_.tableGranularity,
@@ -122,9 +130,7 @@ System::System(const SystemConfig &config) : config_(config)
     // may legitimately cross channels).
     Core::RouteFn route = [this](Addr addr) -> MemoryController & {
         Addr phys = remapper_ ? remapper_->remap(addr) : addr;
-        BlockLocation loc =
-            controllers_[0]->addressMap().decode(phys);
-        return *controllers_[loc.channel];
+        return *controllers_[controllers_[0]->addressMap().channelOf(phys)];
     };
 
     ladder_assert(config_.traceFiles.empty() ||

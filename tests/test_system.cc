@@ -196,5 +196,22 @@ TEST(System, StatsDumpHasContent)
               std::string::npos);
 }
 
+TEST(System, CrossbarMustBeOneMatOfTheGeometry)
+{
+    SystemConfig cfg = makeSystemConfig(SchemeKind::LadderHybrid, "astar",
+                                        quickConfig());
+    // Wordline 1023 would index past a 512-row crossbar's surfaces.
+    SystemConfig rows = cfg;
+    rows.geometry.matRows = 1024;
+    EXPECT_THROW(System{rows}, std::logic_error);
+    SystemConfig cols = cfg;
+    cols.crossbar.cols = 256;
+    EXPECT_THROW(System{cols}, std::logic_error);
+    SystemConfig both = cfg;
+    both.geometry.matRows = 256;
+    both.crossbar.rows = 256;
+    EXPECT_NO_THROW(System{both});
+}
+
 } // namespace
 } // namespace ladder

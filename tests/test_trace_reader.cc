@@ -417,8 +417,11 @@ TEST(TraceWindow, SkipsChunksOutsideTheTickWindow)
     reader.setTickWindow(800, 1500);
     CtrlTraceRecord rec;
     std::size_t i = 8;
-    while (reader.next(rec))
-        expectSameRecord(rec, records[i++], i);
+    while (reader.next(rec)) {
+        ASSERT_LT(i, records.size());
+        expectSameRecord(rec, records[i], i);
+        ++i;
+    }
     EXPECT_TRUE(reader.ok()) << reader.error();
     EXPECT_EQ(i, 16u);
     // Only the one overlapping chunk was ever CRC-checked/decoded.
@@ -615,8 +618,11 @@ TEST(TraceWindow, SkippedChunksAreNeverCrcCheckedOrDecoded)
     ASSERT_TRUE(reader.openBuffer(bytes)) << reader.error();
     reader.setTickWindow(0, 1500); // chunks 0 and 1 only
     std::size_t i = 0;
-    while (reader.next(rec))
-        expectSameRecord(rec, records[i++], i);
+    while (reader.next(rec)) {
+        ASSERT_LT(i, records.size());
+        expectSameRecord(rec, records[i], i);
+        ++i;
+    }
     EXPECT_TRUE(reader.ok()) << reader.error();
     EXPECT_EQ(i, 16u);
     EXPECT_EQ(reader.chunksDecoded(), 2u);
