@@ -76,8 +76,8 @@ measureTail(SchemeKind scheme, const std::string &workload,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(
@@ -156,4 +156,10 @@ main(int argc, char **argv)
                 ok ? "PASS" : "FAIL", adv->second.p99Ns,
                 adv->second.maxNs);
     return ok ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

@@ -13,8 +13,8 @@
 
 using namespace ladder;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(
@@ -38,4 +38,10 @@ main(int argc, char **argv)
                 "data/location-aware above 1.6x on write-bound "
                 "workloads\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

@@ -17,8 +17,8 @@
 
 using namespace ladder;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(argc, argv, cfg);
@@ -63,4 +63,10 @@ main(int argc, char **argv)
     std::printf("\npaper reference: far cell ~200 -> ~700 ns over the "
                 "sweep; near cell low and flat\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

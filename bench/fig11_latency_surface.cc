@@ -42,8 +42,8 @@ printSurface(const WriteTimingTable &table, unsigned contentBucket)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(argc, argv, cfg);
@@ -108,4 +108,10 @@ main(int argc, char **argv)
         }
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

@@ -17,8 +17,8 @@
 
 using namespace ladder;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(argc, argv, cfg);
@@ -68,4 +68,10 @@ main(int argc, char **argv)
                 "by shifting) is preserved.\n");
 
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

@@ -19,8 +19,8 @@
 
 using namespace ladder;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args =
@@ -135,4 +135,10 @@ main(int argc, char **argv)
                         futures[i].get().ipc);
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

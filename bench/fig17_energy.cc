@@ -12,8 +12,8 @@
 
 using namespace ladder;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args =
@@ -47,4 +47,10 @@ main(int argc, char **argv)
     std::printf("\npaper reference (total): Split-reset 0.67, BLP "
                 "0.66, LADDER-Basic 0.54, Est 0.52, Hybrid 0.47\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

@@ -3,7 +3,7 @@
  * google-benchmark micro-kernels for the hot paths of the LADDER
  * stack: content counting, counter packing/estimation, FNW, timing
  * table lookups, the fast circuit model and the timing-model build, the
- * metadata cache and the FPC compressor.
+ * metadata cache, the FPC compressor and the event kernel.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "circuit/fastmodel.hh"
+#include "common/event_queue.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "ctrl/controller.hh"
@@ -350,5 +351,34 @@ BENCHMARK(BM_ControllerWriteDispatch)
     ->Unit(benchmark::kMicrosecond);
 
 } // namespace
+
+/** An event that reschedules itself, after an LCG-drawn delay. */
+struct Hop
+{
+    EventQueue *events;
+    std::uint64_t *lcg;
+
+    void
+    operator()() const
+    {
+        *lcg = *lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        events->scheduleIn(1 + ((*lcg >> 33) & 1023), *this);
+    }
+};
+
+void
+BM_EventQueueScheduleRun(benchmark::State &state)
+{
+    // 64 pending events, about a run's queue depth, as perfbench's
+    // common.event_ns uses; each iteration runs one and schedules one.
+    EventQueue events;
+    std::uint64_t lcg = 12345;
+    for (unsigned i = 0; i < 64; ++i)
+        Hop{&events, &lcg}();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(events.step());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueScheduleRun);
 
 BENCHMARK_MAIN();

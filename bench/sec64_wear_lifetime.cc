@@ -68,8 +68,8 @@ runWithWearLeveling(SchemeKind kind, const std::string &workload,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(argc, argv, cfg, {"lbm"});
@@ -167,4 +167,10 @@ main(int argc, char **argv)
                 "%.1f%% (paper ~44%%)\n",
                 gainOverBase);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

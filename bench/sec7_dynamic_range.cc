@@ -12,8 +12,8 @@
 
 using namespace ladder;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args =
@@ -73,4 +73,10 @@ main(int argc, char **argv)
     std::printf("\npaper reference: the 8-bucket model costs < 3%% "
                 "vs a finer-grained one\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

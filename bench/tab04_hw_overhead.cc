@@ -15,8 +15,8 @@
 
 using namespace ladder;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(argc, argv, cfg);
@@ -65,4 +65,10 @@ main(int argc, char **argv)
                     c.powerMw, c.latencyNs);
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

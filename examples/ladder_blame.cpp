@@ -20,11 +20,18 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "sim/blame_query.hh"
+
+static int
+programMain(int argc, char **argv)
+{
+    std::vector<std::string> args(argv + 1, argv + argc);
+    return ladder::ladderBlameMain(args, std::cout, std::cerr);
+}
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    return ladder::ladderBlameMain(args, std::cout, std::cerr);
+    return ladder::runMain(argc, argv, programMain);
 }

@@ -28,6 +28,7 @@
 
 #include <unistd.h>
 
+#include "common/log.hh"
 #include "sim/telemetry.hh"
 
 using namespace ladder;
@@ -191,8 +192,8 @@ refresh(std::vector<Source> &sources)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     bool once = false;
     std::uint64_t intervalMs = 1000;
@@ -242,4 +243,10 @@ main(int argc, char **argv)
         usleep(static_cast<useconds_t>(intervalMs * 1000));
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

@@ -74,8 +74,8 @@ evaluatePoint(const TimingModel &model, const SneakPathModel &fast,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Options opts;
     registry().applyArgs(opts, argc, argv);
@@ -115,4 +115,10 @@ main(int argc, char **argv)
                 "%zu B\n",
                 model.ladder.storageBytes());
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

@@ -13,13 +13,14 @@
 #include <cstdio>
 
 #include "common/event_queue.hh"
+#include "common/log.hh"
 #include "ctrl/controller.hh"
 #include "schemes/factory.hh"
 
 using namespace ladder;
 
-int
-main()
+static int
+programMain(int, char **)
 {
     // 1. The circuit model: Table-1 crossbar parameters in, write
     //    timing tables out (cached; ~0.3s the first time).
@@ -99,4 +100,10 @@ main()
                 ok ? "OK" : "CORRUPTED", ctrl.metadataReads.value(),
                 ctrl.metadataWrites.value());
     return ok ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

@@ -81,8 +81,8 @@ registry()
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     if (argc < 2 || argv[1][0] == '\0' ||
         std::strchr(argv[1], '=') != nullptr) {
@@ -206,4 +206,10 @@ main(int argc, char **argv)
         return 1;
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

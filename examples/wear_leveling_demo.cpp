@@ -24,8 +24,8 @@
 
 using namespace ladder;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ResolvedExperiment resolved =
         resolveExperiment(argc, argv, defaultExperimentConfig());
@@ -107,4 +107,10 @@ main(int argc, char **argv)
                 "performance and keeps 97.1%% of baseline "
                 "lifetime.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

@@ -39,8 +39,8 @@
 
 using namespace ladder;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     ResolvedExperiment resolved =
         resolveExperiment(argc, argv, defaultExperimentConfig());
@@ -146,4 +146,10 @@ main(int argc, char **argv)
         system.dumpStats(std::cout);
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return ladder::runMain(argc, argv, programMain);
 }

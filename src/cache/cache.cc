@@ -86,42 +86,72 @@ Cache::isDirty(Addr lineAddr) const
     return way->dirty;
 }
 
+Cache::Way *
+Cache::lookup(Addr lineAddr, Way *&victim)
+{
+    Way *set = &lines_[setIndex(lineAddr) * ways_];
+    Way *invalid = nullptr;
+    Way *lru = nullptr;
+    for (unsigned w = 0; w < ways_; ++w) {
+        Way &way = set[w];
+        if (!way.valid) {
+            if (!invalid)
+                invalid = &way;
+            continue;
+        }
+        if (way.addr == lineAddr)
+            return &way;
+        if (!lru || way.lastUse < lru->lastUse)
+            lru = &way;
+    }
+    victim = invalid ? invalid : lru;
+    return nullptr;
+}
+
+CacheVictim
+Cache::replace(Way &target, Addr lineAddr, const LineData &data,
+               bool dirty)
+{
+    CacheVictim victim;
+    if (target.valid) {
+        ++evictions;
+        victim.valid = true;
+        victim.dirty = target.dirty;
+        victim.addr = target.addr;
+        // A clean victim's payload is dropped; nobody reads it.
+        if (target.dirty) {
+            victim.data = target.data;
+            ++dirtyEvictions;
+        }
+    }
+    target.addr = lineAddr;
+    target.valid = true;
+    target.dirty = dirty;
+    target.data = data;
+    target.lastUse = ++useCounter_;
+    return victim;
+}
+
 CacheVictim
 Cache::insert(Addr lineAddr, const LineData &data, bool dirty)
 {
-    CacheVictim victim;
-    if (Way *existing = find(lineAddr)) {
+    Way *victim = nullptr;
+    if (Way *existing = lookup(lineAddr, victim)) {
         existing->data = data;
         existing->dirty = existing->dirty || dirty;
         existing->lastUse = ++useCounter_;
-        return victim;
+        return {};
     }
-    unsigned set = setIndex(lineAddr);
-    Way *target = nullptr;
-    for (unsigned w = 0; w < ways_; ++w) {
-        Way &way = lines_[set * ways_ + w];
-        if (!way.valid) {
-            target = &way;
-            break;
-        }
-        if (!target || way.lastUse < target->lastUse)
-            target = &way;
-    }
-    if (target->valid) {
-        ++evictions;
-        victim.valid = true;
-        victim.dirty = target->dirty;
-        victim.addr = target->addr;
-        victim.data = target->data;
-        if (target->dirty)
-            ++dirtyEvictions;
-    }
-    target->addr = lineAddr;
-    target->valid = true;
-    target->dirty = dirty;
-    target->data = data;
-    target->lastUse = ++useCounter_;
-    return victim;
+    return replace(*victim, lineAddr, data, dirty);
+}
+
+CacheVictim
+Cache::insertIfAbsent(Addr lineAddr, const LineData &data, bool dirty)
+{
+    Way *victim = nullptr;
+    if (lookup(lineAddr, victim))
+        return {};
+    return replace(*victim, lineAddr, data, dirty);
 }
 
 void

@@ -33,7 +33,7 @@ struct CacheVictim
     bool valid = false;
     bool dirty = false;
     Addr addr = invalidAddr;
-    LineData data{};
+    LineData data{}; //!< the victim's payload; set only when dirty
 };
 
 /** One level of write-back cache with LRU replacement. */
@@ -59,6 +59,13 @@ class Cache
      * dirty flag and payload). Returns the evicted victim, if any.
      */
     CacheVictim insert(Addr lineAddr, const LineData &data, bool dirty);
+
+    /**
+     * Insert a line only if it is absent; a present line is left as it
+     * is, recency included. Returns the evicted victim, if any.
+     */
+    CacheVictim insertIfAbsent(Addr lineAddr, const LineData &data,
+                               bool dirty);
 
     /** Drop a line without writeback. */
     void invalidate(Addr lineAddr);
@@ -99,6 +106,15 @@ class Cache
     std::vector<Way> lines_;
 
     unsigned setIndex(Addr lineAddr) const;
+    /**
+     * One scan of the line's set: the way holding @p lineAddr, else
+     * nullptr with @p victim set to the first invalid way or, if none,
+     * the least recently used one.
+     */
+    Way *lookup(Addr lineAddr, Way *&victim);
+    /** Fill @p target with a new line, reporting what it held. */
+    CacheVictim replace(Way &target, Addr lineAddr, const LineData &data,
+                        bool dirty);
     Way *find(Addr lineAddr);
     const Way *find(Addr lineAddr) const;
 };

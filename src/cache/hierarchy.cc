@@ -25,10 +25,7 @@ CacheHierarchy::writebackInto(Cache &level, Cache *below, Addr addr,
                               const LineData &data,
                               std::vector<Writeback> &writebacks)
 {
-    if (level.contains(addr)) {
-        level.insert(addr, data, true); // merge + mark dirty
-        return;
-    }
+    // A present line is merged and marked dirty, with no victim.
     CacheVictim victim = level.insert(addr, data, true);
     if (!victim.valid || !victim.dirty)
         return;
@@ -47,9 +44,7 @@ CacheHierarchy::installClean(unsigned core, Cache &level, Cache *below,
     (void)core;
     // Never clobber an existing copy with a (possibly stale) clean
     // fill: whatever the level holds is at least as recent.
-    if (level.contains(addr))
-        return;
-    CacheVictim victim = level.insert(addr, data, false);
+    CacheVictim victim = level.insertIfAbsent(addr, data, false);
     if (!victim.valid || !victim.dirty)
         return;
     if (below)

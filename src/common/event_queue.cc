@@ -1,117 +1,107 @@
 #include "event_queue.hh"
 
-#include <algorithm>
-
 #include "log.hh"
 
 namespace ladder
 {
 
-EventId
-EventQueue::schedule(Tick when, std::function<void()> callback,
-                     int priority)
+namespace
+{
+
+/** Children per heap node. */
+constexpr std::size_t arity = 4;
+
+} // anonymous namespace
+
+void
+EventQueue::schedule(Tick when, EventCallback callback, int priority)
 {
     ladder_assert(when >= now_,
                   "scheduling event in the past (%llu < %llu)",
                   static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(now_));
-    EventId id = nextId_++;
-    heap_.push(Entry{when, priority, id, std::move(callback)});
-    ++live_;
-    return id;
-}
+    std::uint32_t slot;
+    if (!freeSlots_.empty()) {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[slot] = std::move(callback);
+    } else {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.push_back(std::move(callback));
+    }
+    const Key key{when, nextSeq_++, priority, slot};
 
-EventId
-EventQueue::scheduleIn(Tick delay, std::function<void()> callback,
-                       int priority)
-{
-    return schedule(now_ + delay, std::move(callback), priority);
-}
-
-void
-EventQueue::deschedule(EventId id)
-{
-    if (isCancelled(id))
-        return;
-    cancelled_.push_back(id);
-    if (live_ > 0)
-        --live_;
-}
-
-bool
-EventQueue::isCancelled(EventId id) const
-{
-    return std::find(cancelled_.begin(), cancelled_.end(), id) !=
-           cancelled_.end();
+    // Sift the hole up from the new leaf.
+    std::size_t hole = heap_.size();
+    heap_.push_back(key);
+    while (hole > 0) {
+        std::size_t parent = (hole - 1) / arity;
+        if (!before(key, heap_[parent]))
+            break;
+        heap_[hole] = heap_[parent];
+        hole = parent;
+    }
+    heap_[hole] = key;
 }
 
 void
-EventQueue::forgetCancelled(EventId id)
+EventQueue::runTop()
 {
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-    if (it != cancelled_.end())
-        cancelled_.erase(it);
+    const Key top = heap_.front();
+    const Key last = heap_.back();
+    heap_.pop_back();
+    const std::size_t size = heap_.size();
+    if (size > 0) {
+        // Sift the hole down from the root, then drop the old last
+        // key into it.
+        std::size_t hole = 0;
+        while (true) {
+            std::size_t first = hole * arity + 1;
+            if (first >= size)
+                break;
+            std::size_t end = first + arity < size ? first + arity : size;
+            std::size_t best = first;
+            for (std::size_t c = first + 1; c < end; ++c) {
+                if (before(heap_[c], heap_[best]))
+                    best = c;
+            }
+            if (!before(heap_[best], last))
+                break;
+            heap_[hole] = heap_[best];
+            hole = best;
+        }
+        heap_[hole] = last;
+    }
+
+    // Move the callback out first: it may schedule events, which can
+    // reuse its slot or grow the slab.
+    EventCallback callback = std::move(slots_[top.slot]);
+    freeSlots_.push_back(top.slot);
+    now_ = top.when;
+    ++executed_;
+    callback();
 }
 
 std::uint64_t
 EventQueue::runUntil(Tick limit)
 {
     std::uint64_t count = 0;
-    while (!heap_.empty()) {
-        const Entry &top = heap_.top();
-        if (top.when > limit)
-            break;
-        if (isCancelled(top.id)) {
-            forgetCancelled(top.id);
-            heap_.pop();
-            continue;
-        }
-        // Copy out before popping; the callback may schedule new events.
-        Entry entry = top;
-        heap_.pop();
-        --live_;
-        now_ = entry.when;
-        ++executed_;
+    while (!heap_.empty() && heap_.front().when <= limit) {
+        runTop();
         ++count;
-        entry.callback();
     }
     if (heap_.empty() && now_ < limit && limit != maxTick)
         now_ = limit;
     return count;
 }
 
-Tick
-EventQueue::nextEventTick()
-{
-    while (!heap_.empty()) {
-        const Entry &top = heap_.top();
-        if (!isCancelled(top.id))
-            return top.when;
-        forgetCancelled(top.id);
-        heap_.pop();
-    }
-    return maxTick;
-}
-
 bool
 EventQueue::step()
 {
-    while (!heap_.empty()) {
-        const Entry &top = heap_.top();
-        if (isCancelled(top.id)) {
-            forgetCancelled(top.id);
-            heap_.pop();
-            continue;
-        }
-        Entry entry = top;
-        heap_.pop();
-        --live_;
-        now_ = entry.when;
-        ++executed_;
-        entry.callback();
-        return true;
-    }
-    return false;
+    if (heap_.empty())
+        return false;
+    runTop();
+    return true;
 }
 
 } // namespace ladder

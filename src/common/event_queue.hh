@@ -1,32 +1,36 @@
 /**
  * @file
  * Discrete-event simulation kernel. A single EventQueue orders callbacks
- * by (tick, priority, sequence); components schedule std::function
- * callbacks and the kernel drives time forward.
+ * by (tick, priority, sequence); components schedule callbacks and the
+ * kernel drives time forward.
  */
 
 #ifndef LADDER_COMMON_EVENT_QUEUE_HH
 #define LADDER_COMMON_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
+#include "inline_function.hh"
 #include "types.hh"
 
 namespace ladder
 {
 
-/** Identifier handed back by schedule() so events can be descheduled. */
-using EventId = std::uint64_t;
+/**
+ * An event's callback. Captures stay small: a component captures
+ * `this` plus a few scalars or a slot index, never a payload.
+ */
+using EventCallback = InlineFunction<void(), 64>;
 
 /**
  * The event queue at the heart of the simulator.
  *
  * Events at the same tick execute in (priority, insertion) order so that
- * behaviour is fully deterministic. Descheduling is lazy: cancelled
- * events stay in the heap but are skipped when popped.
+ * behaviour is fully deterministic. The order lives in a 4-ary min-heap
+ * of 24-byte keys; each key names a slot of a slab that holds the
+ * callback, and freed slots are reused, so a steady-state run schedules
+ * and executes events without allocating.
  */
 class EventQueue
 {
@@ -41,23 +45,23 @@ class EventQueue
      * Schedule @p callback at absolute time @p when.
      *
      * @pre when >= now()
-     * @return An id usable with deschedule().
      */
-    EventId schedule(Tick when, std::function<void()> callback,
-                     int priority = defaultPriority);
+    void schedule(Tick when, EventCallback callback,
+                  int priority = defaultPriority);
 
     /** Schedule @p callback @p delay ticks in the future. */
-    EventId scheduleIn(Tick delay, std::function<void()> callback,
-                       int priority = defaultPriority);
+    void
+    scheduleIn(Tick delay, EventCallback callback,
+               int priority = defaultPriority)
+    {
+        schedule(now_ + delay, std::move(callback), priority);
+    }
 
-    /** Cancel a previously scheduled event. Safe to call twice. */
-    void deschedule(EventId id);
+    /** Whether any events remain. */
+    bool empty() const { return heap_.empty(); }
 
-    /** Whether any live (non-cancelled) events remain. */
-    bool empty() const { return live_ == 0; }
-
-    /** Number of live events. */
-    std::uint64_t pending() const { return live_; }
+    /** Number of pending events. */
+    std::uint64_t pending() const { return heap_.size(); }
 
     /**
      * Run events until the queue is empty or time would pass @p limit.
@@ -67,11 +71,12 @@ class EventQueue
      */
     std::uint64_t runUntil(Tick limit = maxTick);
 
-    /**
-     * Tick of the earliest live event, or maxTick when the queue is
-     * empty. Prunes cancelled entries from the top of the heap.
-     */
-    Tick nextEventTick();
+    /** Tick of the earliest event, or maxTick when the queue is empty. */
+    Tick
+    nextEventTick() const
+    {
+        return heap_.empty() ? maxTick : heap_.front().when;
+    }
 
     /** Execute exactly one event if any; returns false when empty. */
     bool step();
@@ -80,34 +85,34 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
   private:
-    struct Entry
+    /** Heap order key; @c slot indexes slots_. */
+    struct Key
     {
         Tick when;
-        int priority;
-        EventId id;
-        std::function<void()> callback;
-
-        bool
-        operator>(const Entry &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            if (priority != other.priority)
-                return priority > other.priority;
-            return id > other.id;
-        }
+        std::uint64_t seq;
+        std::int32_t priority;
+        std::uint32_t slot;
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        heap_;
-    std::vector<EventId> cancelled_;
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        if (a.when != b.when)
+            return a.when < b.when;
+        if (a.priority != b.priority)
+            return a.priority < b.priority;
+        return a.seq < b.seq;
+    }
+
+    std::vector<Key> heap_;
+    std::vector<EventCallback> slots_;
+    std::vector<std::uint32_t> freeSlots_;
     Tick now_ = 0;
-    EventId nextId_ = 1;
-    std::uint64_t live_ = 0;
+    std::uint64_t nextSeq_ = 1;
     std::uint64_t executed_ = 0;
 
-    bool isCancelled(EventId id) const;
-    void forgetCancelled(EventId id);
+    /** Pop the earliest event and run it. @pre !heap_.empty() */
+    void runTop();
 };
 
 } // namespace ladder

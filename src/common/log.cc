@@ -141,8 +141,8 @@ panicImpl(const char *file, int line, const std::string &msg)
     logMessage(LogLevel::Panic,
                strPrintf("%s:%d: %s", file, line, msg.c_str()));
     // Throwing instead of abort() keeps the failure testable; the type is
-    // std::logic_error because a panic is by definition a program bug.
-    throw std::logic_error(msg);
+    // a std::logic_error because a panic is by definition a program bug.
+    throw PanicError(msg);
 }
 
 [[noreturn]] void
@@ -150,7 +150,22 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     logMessage(LogLevel::Fatal,
                strPrintf("%s:%d: %s", file, line, msg.c_str()));
-    throw std::runtime_error(msg);
+    throw FatalError(msg);
+}
+
+int
+runMain(int argc, char **argv, int (*body)(int, char **))
+{
+    try {
+        return body(argc, argv);
+    } catch (const FatalError &) {
+        return 1; // logged by fatal()
+    } catch (const PanicError &) {
+        return 1; // logged by panic()
+    } catch (const std::exception &e) {
+        logMessage(LogLevel::Fatal, e.what());
+        return 1;
+    }
 }
 
 } // namespace ladder

@@ -2,8 +2,11 @@
  * @file
  * Minimal gem5-style status/error reporting: panic, fatal, warn, inform.
  *
- * panic()  - an internal invariant was violated (a simulator bug); aborts.
- * fatal()  - the user asked for something unsupported/inconsistent; exits.
+ * panic()  - an internal invariant was violated (a simulator bug);
+ *            throws PanicError.
+ * fatal()  - the user asked for something unsupported/inconsistent;
+ *            throws FatalError. A program whose main runs through
+ *            runMain() exits with status 1 on either.
  * warn()   - something is suspicious but simulation can continue.
  * warn_once() - warn, but only the first time this call site fires
  *               (parallel sweeps would otherwise repeat identical
@@ -23,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 namespace ladder
@@ -70,13 +74,36 @@ void setLogSink(LogSinkFn sink);
 std::string strPrintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Report an internal simulator bug and abort. */
+/** What panic() throws, after logging its message. */
+class PanicError : public std::logic_error
+{
+  public:
+    using std::logic_error::logic_error;
+};
+
+/** What fatal() throws, after logging its message. */
+class FatalError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/** Report an internal simulator bug and throw PanicError. */
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
-/** Report a user/configuration error and exit(1). */
+/** Report a user/configuration error and throw FatalError. */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
+
+/**
+ * Run a command-line program's body and return its exit status. An
+ * exception that escapes @p body ends the program with status 1
+ * instead of std::terminate's abort, so a script can tell a bad
+ * argument from a crash. fatal() and panic() logged their message
+ * already; any other exception's message is logged here.
+ */
+int runMain(int argc, char **argv, int (*body)(int, char **));
 
 } // namespace ladder
 

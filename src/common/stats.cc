@@ -229,6 +229,19 @@ StatGroup::visit(
 }
 
 void
+StatGroup::appendValues(std::vector<double> &out) const
+{
+    for (const auto &entry : scalars_)
+        out.push_back(entry.stat->value());
+    for (const auto &entry : averages_) {
+        out.push_back(entry.stat->sum());
+        out.push_back(static_cast<double>(entry.stat->count()));
+    }
+    for (const auto *child : children_)
+        child->appendValues(out);
+}
+
+void
 StatGroup::resetAll()
 {
     for (auto &entry : scalars_)

@@ -137,6 +137,9 @@ class StatGroup
     void visit(const std::function<void(const std::string &, double)>
                    &fn) const;
 
+    /** Append the values visit() reports, in its order, to @p out. */
+    void appendValues(std::vector<double> &out) const;
+
     /** Reset every registered stat (children included). */
     void resetAll();
 

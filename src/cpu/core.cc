@@ -54,7 +54,7 @@ void
 Core::functionalWarmup(std::uint64_t instructions)
 {
     std::uint64_t target = instrIssued_ + instructions;
-    std::vector<Writeback> wbs;
+    std::vector<Writeback> &wbs = wbs_;
     while (instrIssued_ < target) {
         TraceRecord rec = pendingRecord_ ? *pendingRecord_
                                          : trace_->next();
@@ -157,30 +157,44 @@ Core::retireCompleted()
         if (front.completeTick == maxTick ||
             front.completeTick > coreTime_)
             break;
-        outstanding_.pop_front();
+        outstanding_.erase(outstanding_.begin());
     }
 }
 
 void
 Core::drainWritebacks()
 {
-    while (!pendingWritebacks_.empty()) {
-        const Writeback &wb = pendingWritebacks_.front();
+    std::size_t sent = 0;
+    for (const Writeback &wb : pendingWritebacks_) {
         MemoryController &ctrl = route_(wb.first);
         if (!ctrl.canAcceptWrite())
             break;
         ctrl.enqueueWrite(wb.first, wb.second);
         ++memWrites;
-        pendingWritebacks_.pop_front();
+        ++sent;
     }
+    pendingWritebacks_.erase(pendingWritebacks_.begin(),
+                             pendingWritebacks_.begin() +
+                                 static_cast<long>(sent));
 }
 
 void
-Core::pushWritebacks(std::vector<Writeback> &&writebacks)
+Core::pushWritebacks(std::vector<Writeback> &writebacks)
 {
-    for (auto &wb : writebacks)
-        pendingWritebacks_.push_back(std::move(wb));
+    pendingWritebacks_.insert(pendingWritebacks_.end(),
+                              writebacks.begin(), writebacks.end());
+    writebacks.clear();
     drainWritebacks();
+}
+
+Core::PendingLine *
+Core::findPendingLine(Addr addr)
+{
+    for (PendingLine &line : pendingLines_) {
+        if (line.addr == addr)
+            return &line;
+    }
+    return nullptr;
 }
 
 bool
@@ -190,25 +204,39 @@ Core::issueFetch(Addr physAddr, bool isStore, const TraceRecord &rec)
     MemoryController &ctrl = route_(physAddr);
     std::uint64_t seqNo = instrIssued_ + rec.nonMemBefore;
     outstanding_.push_back({seqNo, maxTick});
-    pendingLines_[physAddr] = seqNo;
+    if (PendingLine *line = findPendingLine(physAddr))
+        line->seqNo = seqNo;
+    else
+        pendingLines_.push_back({physAddr, seqNo});
     ++memReads;
     ctrl.enqueueRead(
         physAddr, [this, physAddr, seqNo](const LineData &data,
                                           Tick when) {
-            std::vector<Writeback> wbs;
+            std::vector<Writeback> &wbs = fillWbs_;
             hierarchy_.fill(id_, physAddr, data, wbs);
-            // Apply stores that were waiting on this fetch.
-            auto range = pendingStoreMerges_.equal_range(physAddr);
-            for (auto it = range.first; it != range.second; ++it) {
+            // Apply stores that were waiting on this fetch, newest
+            // first. This order is a known bug, kept because results
+            // are pinned to it: when two waiting stores hit the same
+            // word, the older store's bytes win (ROADMAP, "Pending
+            // stores merge in reverse program order").
+            for (auto it = pendingStoreMerges_.rbegin();
+                 it != pendingStoreMerges_.rend(); ++it) {
+                if (it->addr != physAddr)
+                    continue;
                 auto applied = hierarchy_.write(
-                    id_, physAddr, it->second.first,
-                    it->second.second.data(), wbs);
+                    id_, physAddr, it->offset, it->bytes.data(), wbs);
                 ladder_assert(applied.has_value(),
                               "store merge missed after fill");
             }
-            pendingStoreMerges_.erase(range.first, range.second);
-            pendingLines_.erase(physAddr);
-            pushWritebacks(std::move(wbs));
+            std::erase_if(pendingStoreMerges_,
+                          [physAddr](const PendingStore &store) {
+                              return store.addr == physAddr;
+                          });
+            std::erase_if(pendingLines_,
+                          [physAddr](const PendingLine &line) {
+                              return line.addr == physAddr;
+                          });
+            pushWritebacks(wbs);
             loadCompleted(seqNo, when);
         });
     return true;
@@ -227,7 +255,7 @@ Core::loadCompleted(std::uint64_t seqNo, Tick when)
         outstanding_.front().completeTick != maxTick) {
         coreTime_ =
             std::max(coreTime_, outstanding_.front().completeTick);
-        outstanding_.pop_front();
+        outstanding_.erase(outstanding_.begin());
         retireCompleted();
         blocked_ = BlockReason::None;
         scheduleActivation();
@@ -273,7 +301,7 @@ Core::processOne()
         if (robFull || mshrFull) {
             if (front.completeTick != maxTick) {
                 coreTime_ = std::max(coreTime_, front.completeTick);
-                outstanding_.pop_front();
+                outstanding_.erase(outstanding_.begin());
                 retireCompleted();
             } else {
                 blocked_ = BlockReason::FrontLoad;
@@ -287,7 +315,8 @@ Core::processOne()
     }
 
     Addr phys = physOf(rec.lineAddr);
-    std::vector<Writeback> wbs;
+    std::vector<Writeback> &wbs = wbs_;
+    wbs.clear();
     auto commit = [&]() {
         advanceIssue(rec.nonMemBefore + 1);
         instrIssued_ = memSeq + 1;
@@ -296,9 +325,8 @@ Core::processOne()
 
     if (!rec.isWrite) {
         ++loads;
-        auto pending = pendingLines_.find(phys);
-        if (pending != pendingLines_.end()) {
-            std::uint64_t covering = pending->second;
+        if (const PendingLine *pending = findPendingLine(phys)) {
+            std::uint64_t covering = pending->seqNo;
             commit();
             if (rec.dependent) {
                 blocked_ = BlockReason::OwnLoad;
@@ -328,10 +356,9 @@ Core::processOne()
         }
     } else {
         ++stores;
-        auto pending = pendingLines_.find(phys);
-        if (pending != pendingLines_.end()) {
-            pendingStoreMerges_.emplace(
-                phys, std::make_pair(rec.storeOffset, rec.storeData));
+        if (findPendingLine(phys)) {
+            pendingStoreMerges_.push_back(
+                {phys, rec.storeOffset, rec.storeData});
             commit();
         } else if (auto lat = hierarchy_.write(id_, phys,
                                                rec.storeOffset,
@@ -348,12 +375,12 @@ Core::processOne()
                 return false;
             }
             issueFetch(phys, true, rec);
-            pendingStoreMerges_.emplace(
-                phys, std::make_pair(rec.storeOffset, rec.storeData));
+            pendingStoreMerges_.push_back(
+                {phys, rec.storeOffset, rec.storeData});
             commit();
         }
     }
-    pushWritebacks(std::move(wbs));
+    pushWritebacks(wbs);
     return true;
 }
 

@@ -17,11 +17,10 @@
 #ifndef LADDER_CPU_CORE_HH
 #define LADDER_CPU_CORE_HH
 
-#include <deque>
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -108,6 +107,21 @@ class Core
         Tick completeTick = maxTick; //!< maxTick while pending
     };
 
+    /** A line with an in-flight fetch. */
+    struct PendingLine
+    {
+        Addr addr;
+        std::uint64_t seqNo; //!< of the covering load
+    };
+
+    /** A store waiting for its line's fetch to return. */
+    struct PendingStore
+    {
+        Addr addr;
+        unsigned offset;
+        std::array<std::uint8_t, 8> bytes;
+    };
+
     enum class BlockReason
     {
         None,
@@ -132,19 +146,21 @@ class Core
     std::uint64_t phaseTarget_ = 0;
     std::function<void()> onDone_;
 
-    std::deque<OutstandingLoad> outstanding_;
-    std::deque<Writeback> pendingWritebacks_;
+    /** Loads in program order; bounded by the MSHRs. */
+    std::vector<OutstandingLoad> outstanding_;
+    std::vector<Writeback> pendingWritebacks_; //!< oldest first
     BlockReason blocked_ = BlockReason::None;
     std::uint64_t blockedOnLoadSeq_ = 0;
     std::optional<TraceRecord> pendingRecord_;
     bool activationScheduled_ = false;
-    /** Lines with an in-flight fetch: seqNo of the covering load. */
-    std::unordered_map<Addr, std::uint64_t> pendingLines_;
-    /** Stores waiting for their line's fetch to return. */
-    std::unordered_multimap<Addr,
-                            std::pair<unsigned,
-                                      std::array<std::uint8_t, 8>>>
-        pendingStoreMerges_;
+    // Both tables stay small (one line per MSHR, and the stores that
+    // hit those lines while they are fetched), so a scan is cheap.
+    /** Lines with an in-flight fetch, at most one entry per line. */
+    std::vector<PendingLine> pendingLines_;
+    /** Stores waiting for their line's fetch, in program order. */
+    std::vector<PendingStore> pendingStoreMerges_;
+    /** Writeback scratch of processOne/functionalWarmup and of fills. */
+    std::vector<Writeback> wbs_, fillWbs_;
     std::uint64_t issueDebt_ = 0; //!< sub-cycle issue accumulator
 
     void scheduleActivation();
@@ -156,7 +172,9 @@ class Core
                     const TraceRecord &rec);
     void loadCompleted(std::uint64_t seqNo, Tick when);
     void drainWritebacks();
-    void pushWritebacks(std::vector<Writeback> &&writebacks);
+    /** Queue @p writebacks (left empty) and try to send them. */
+    void pushWritebacks(std::vector<Writeback> &writebacks);
+    PendingLine *findPendingLine(Addr addr);
     void retireCompleted();
     Addr physOf(Addr regionRelative) const;
     void finishPhaseIfDone();

@@ -133,6 +133,17 @@ MemoryController::regStats(StatGroup &group)
     group.regScalar("cell_sets", &cellSets, "");
 }
 
+std::unordered_map<std::uint64_t, std::uint32_t>
+MemoryController::pageWriteCounts() const
+{
+    std::unordered_map<std::uint64_t, std::uint32_t> counts;
+    pageWrites_.forEach([&](std::uint64_t page, std::uint32_t writes) {
+        if (writes)
+            counts.emplace(page, writes);
+    });
+    return counts;
+}
+
 Addr
 MemoryController::physAddr(Addr lineAddr)
 {
@@ -206,6 +217,41 @@ MemoryController::functionalWrite(Addr lineAddr, const LineData &data)
     store_.write(loc, fnw.data);
 }
 
+std::uint32_t
+MemoryController::newRead(ReadKind kind, Addr addr,
+                          const BlockLocation &loc)
+{
+    std::uint32_t slot = reads_.acquire();
+    ReadEntry &entry = reads_[slot];
+    entry.id = nextId_++;
+    entry.addr = addr;
+    entry.kind = kind;
+    entry.enqueueTick = events_.now();
+    entry.loc = loc;
+    entry.callbacks.clear();
+    entry.writeId = 0;
+    return slot;
+}
+
+void
+MemoryController::forwardRead(const LineData &data, ReadCallback callback)
+{
+    std::uint32_t slot = reads_.acquire();
+    ReadEntry &entry = reads_[slot];
+    entry.enqueueTick = events_.now();
+    entry.forwarded = data;
+    entry.callbacks.clear();
+    entry.callbacks.push_back(std::move(callback));
+    Tick when = events_.now() + tCl_;
+    events_.schedule(when, [this, slot, when]() {
+        ReadEntry &done = reads_[slot];
+        readLatencyNs.sample(ticksToNs(when - done.enqueueTick));
+        readLatencyHistNs.sample(ticksToNs(when - done.enqueueTick));
+        done.callbacks.front()(done.forwarded, when);
+        reads_.release(slot);
+    });
+}
+
 void
 MemoryController::enqueueRead(Addr lineAddr, ReadCallback callback)
 {
@@ -218,48 +264,32 @@ MemoryController::enqueueRead(Addr lineAddr, ReadCallback callback)
     ++dataReads;
 
     // Forward from a queued or in-flight write to the same block.
-    for (const auto &entry : writeQueue_) {
+    for (std::uint32_t slot : writeQueue_) {
+        const WriteEntry &entry = writes_[slot];
         if (entry.addr == phys && !entry.isMetadataWrite) {
-            LineData data = entry.data;
-            Tick when = events_.now() + tCl_;
-            Tick enq = events_.now();
-            events_.schedule(when, [this, callback, data, when, enq]() {
-                readLatencyNs.sample(ticksToNs(when - enq));
-                readLatencyHistNs.sample(ticksToNs(when - enq));
-                callback(data, when);
-            });
+            forwardRead(entry.data, std::move(callback));
             return;
         }
     }
-    auto inflight = inFlightWrites_.find(phys);
-    if (inflight != inFlightWrites_.end()) {
-        LineData data = inflight->second;
-        Tick when = events_.now() + tCl_;
-        Tick enq = events_.now();
-        events_.schedule(when, [this, callback, data, when, enq]() {
-            readLatencyNs.sample(ticksToNs(when - enq));
-            readLatencyHistNs.sample(ticksToNs(when - enq));
-            callback(data, when);
-        });
-        return;
+    for (const InFlightWrite &inflight : inFlightWrites_) {
+        if (inflight.addr == phys) {
+            forwardRead(writes_[inflight.slot].data, std::move(callback));
+            return;
+        }
     }
 
     // Merge with a pending read of the same line (controller MSHR).
-    for (auto &entry : readQueue_) {
+    for (std::uint32_t slot : readQueue_) {
+        ReadEntry &entry = reads_[slot];
         if (entry.addr == phys && entry.kind == ReadKind::Data) {
             entry.callbacks.push_back(std::move(callback));
             return;
         }
     }
 
-    ReadEntry entry;
-    entry.id = nextId_++;
-    entry.addr = phys;
-    entry.kind = ReadKind::Data;
-    entry.enqueueTick = events_.now();
-    entry.loc = loc;
-    entry.callbacks.push_back(std::move(callback));
-    readQueue_.push_back(std::move(entry));
+    std::uint32_t slot = newRead(ReadKind::Data, phys, loc);
+    reads_[slot].callbacks.push_back(std::move(callback));
+    readQueue_.push_back(slot);
     if (metrics::enabled())
         metrics::set(mRqDepth_, readQueue_.size());
     requestSchedule();
@@ -276,7 +306,8 @@ MemoryController::enqueueWrite(Addr lineAddr, const LineData &data)
                   loc.channel, channel_);
 
     // Coalesce with a queued (not yet dispatched) write.
-    for (auto &entry : writeQueue_) {
+    for (std::uint32_t slot : writeQueue_) {
+        WriteEntry &entry = writes_[slot];
         if (entry.addr == phys && !entry.isMetadataWrite) {
             entry.data = data;
             entry.physData = scheme_->encodeData(phys, data);
@@ -284,67 +315,64 @@ MemoryController::enqueueWrite(Addr lineAddr, const LineData &data)
         }
     }
 
-    WriteEntry entry;
-    entry.id = nextId_++;
-    entry.addr = phys;
-    entry.data = data;
-    entry.loc = loc;
-    entry.enqueueTick = events_.now();
-    entry.readyTick = entry.enqueueTick;
-    // Hook first: wear-leveling decorators may advance per-line state
-    // that the encoding depends on.
-    scheme_->onWriteEnqueued(*this, entry);
-    entry.physData = scheme_->encodeData(phys, data);
-
-    if (entry.needsSmb) {
-        entry.smbReady = false;
-        ReadEntry smb;
-        smb.id = nextId_++;
-        smb.addr = phys;
-        smb.kind = ReadKind::StaleBlock;
-        smb.enqueueTick = events_.now();
-        smb.loc = loc;
-        smb.writeId = entry.id;
-        internalReads_.push_back(std::move(smb));
-        ++smbReads;
-    }
-    handleMetadataNeeds(entry);
-    writeQueue_.push_back(std::move(entry));
+    admitWrite(phys, loc, data, /*isRemapCopy=*/false);
     if (metrics::enabled())
         metrics::set(mWqDepth_, writeQueue_.size());
-    requestSchedule();
 }
 
 void
 MemoryController::injectWrite(Addr lineAddr, const LineData &data)
 {
     Addr phys = physAddr(lineAddr);
-    BlockLocation loc = map_.decode(phys);
-    WriteEntry entry;
+    admitWrite(phys, map_.decode(phys), data, /*isRemapCopy=*/false);
+}
+
+void
+MemoryController::injectPhysicalWrite(Addr physTo, const LineData &data)
+{
+    admitWrite(physTo, map_.decode(physTo), data, /*isRemapCopy=*/true);
+}
+
+std::uint32_t
+MemoryController::newWrite()
+{
+    std::uint32_t slot = writes_.acquire();
+    WriteEntry &entry = writes_[slot];
+    // Reset the reused entry, keeping its metadata list's capacity.
+    std::vector<Addr> metaAddrs = std::move(entry.metaAddrs);
+    metaAddrs.clear();
+    entry = WriteEntry{};
+    entry.metaAddrs = std::move(metaAddrs);
+    return slot;
+}
+
+void
+MemoryController::admitWrite(Addr phys, const BlockLocation &loc,
+                             const LineData &data, bool isRemapCopy)
+{
+    std::uint32_t slot = newWrite();
+    WriteEntry &entry = writes_[slot];
     entry.id = nextId_++;
     entry.addr = phys;
     entry.data = data;
     entry.loc = loc;
     entry.enqueueTick = events_.now();
     entry.readyTick = entry.enqueueTick;
+    entry.isRemapCopy = isRemapCopy;
     // Hook first: wear-leveling decorators may advance per-line state
     // that the encoding depends on.
     scheme_->onWriteEnqueued(*this, entry);
     entry.physData = scheme_->encodeData(phys, data);
+
     if (entry.needsSmb) {
         entry.smbReady = false;
-        ReadEntry smb;
-        smb.id = nextId_++;
-        smb.addr = phys;
-        smb.kind = ReadKind::StaleBlock;
-        smb.enqueueTick = events_.now();
-        smb.loc = loc;
-        smb.writeId = entry.id;
-        internalReads_.push_back(std::move(smb));
+        std::uint32_t smb = newRead(ReadKind::StaleBlock, phys, loc);
+        reads_[smb].writeId = entry.id;
+        internalReads_.push_back(smb);
         ++smbReads;
     }
     handleMetadataNeeds(entry);
-    writeQueue_.push_back(std::move(entry));
+    writeQueue_.push_back(slot);
     requestSchedule();
 }
 
@@ -354,7 +382,8 @@ MemoryController::handleMetadataNeeds(WriteEntry &entry)
     for (Addr metaAddr : entry.metaAddrs) {
         // A fill already on its way? Join it.
         bool joined = false;
-        for (auto &fill : pendingFills_) {
+        for (std::uint32_t slot : pendingFills_) {
+            PendingMetaFill &fill = fills_[slot];
             if (fill.metaAddr == metaAddr) {
                 fill.waitingWrites.push_back(entry.id);
                 ++entry.metaPending;
@@ -368,18 +397,19 @@ MemoryController::handleMetadataNeeds(WriteEntry &entry)
         MetaLookup result = metaCache_.lookupForWrite(metaAddr);
         if (result == MetaLookup::Hit)
             continue; // sharer counted inside the cache
-        PendingMetaFill fill;
+        std::uint32_t slot = fills_.acquire();
+        PendingMetaFill &fill = fills_[slot];
         fill.metaAddr = metaAddr;
+        fill.waitingWrites.clear();
         fill.waitingWrites.push_back(entry.id);
         ++entry.metaPending;
+        pendingFills_.push_back(slot);
         if (result == MetaLookup::Miss) {
             fill.issued = true;
-            pendingFills_.push_back(fill);
-            issueMetaFill(pendingFills_.back());
+            issueMetaFill(metaAddr);
         } else {
             // Every way pinned: park in the spill buffer.
             fill.issued = false;
-            pendingFills_.push_back(fill);
             spillBuffer_.push_back(metaAddr);
             ++spillInsertions;
             ladder_assert(spillBuffer_.size() <=
@@ -390,15 +420,10 @@ MemoryController::handleMetadataNeeds(WriteEntry &entry)
 }
 
 void
-MemoryController::issueMetaFill(PendingMetaFill &fill)
+MemoryController::issueMetaFill(Addr metaAddr)
 {
-    ReadEntry meta;
-    meta.id = nextId_++;
-    meta.addr = fill.metaAddr;
-    meta.kind = ReadKind::Metadata;
-    meta.enqueueTick = events_.now();
-    meta.loc = map_.decode(fill.metaAddr);
-    internalReads_.push_back(std::move(meta));
+    internalReads_.push_back(
+        newRead(ReadKind::Metadata, metaAddr, map_.decode(metaAddr)));
     ++metadataReads;
     requestSchedule();
 }
@@ -412,10 +437,11 @@ MemoryController::retrySpills()
             ++i;
             continue;
         }
-        for (auto &fill : pendingFills_) {
+        for (std::uint32_t slot : pendingFills_) {
+            PendingMetaFill &fill = fills_[slot];
             if (fill.metaAddr == metaAddr && !fill.issued) {
                 fill.issued = true;
-                issueMetaFill(fill);
+                issueMetaFill(metaAddr);
                 break;
             }
         }
@@ -427,23 +453,24 @@ MemoryController::retrySpills()
 void
 MemoryController::enqueueMetadataWrite(Addr metaAddr)
 {
-    WriteEntry entry;
+    std::uint32_t slot = newWrite();
+    WriteEntry &entry = writes_[slot];
     entry.id = nextId_++;
     entry.addr = metaAddr;
     entry.loc = map_.decode(metaAddr);
     entry.enqueueTick = events_.now();
     entry.readyTick = entry.enqueueTick;
     entry.isMetadataWrite = true;
-    metaWrites_.push_back(std::move(entry));
+    metaWrites_.push_back(slot);
     requestSchedule();
 }
 
 WriteEntry *
 MemoryController::findWrite(std::uint64_t id)
 {
-    for (auto &entry : writeQueue_) {
-        if (entry.id == id)
-            return &entry;
+    for (std::uint32_t slot : writeQueue_) {
+        if (writes_[slot].id == id)
+            return &writes_[slot];
     }
     return nullptr;
 }
@@ -519,14 +546,13 @@ MemoryController::runSchedule()
 }
 
 bool
-MemoryController::issueOneRead(std::deque<ReadEntry> &queue)
+MemoryController::issueOneRead(std::vector<std::uint32_t> &queue)
 {
     for (std::size_t i = 0; i < queue.size(); ++i) {
-        ReadEntry &entry = queue[i];
-        unsigned bank = bankIndex(entry.loc);
+        std::uint32_t slot = queue[i];
+        unsigned bank = bankIndex(reads_[slot].loc);
         if (bankBusyUntil_[bank] > events_.now())
             continue;
-        ReadEntry taken = std::move(entry);
         queue.erase(queue.begin() + static_cast<long>(i));
         Tick busy = events_.now() + tRcd_ + tCl_;
         bankBusyUntil_[bank] = busy;
@@ -534,10 +560,9 @@ MemoryController::issueOneRead(std::deque<ReadEntry> &queue)
         Tick respond = busy + tBurst_;
         readEnergyPj += cfg_.readEnergyPj;
         bool wasFull = queue.size() + 1 >= cfg_.readQueueEntries;
-        events_.schedule(respond,
-                        [this, e = std::move(taken), respond]() mutable {
-                            completeRead(std::move(e), respond);
-                        });
+        events_.schedule(respond, [this, slot, respond]() {
+            completeRead(slot, respond);
+        });
         if (&queue == &readQueue_ && wasFull)
             notifyRetry();
         return true;
@@ -552,8 +577,9 @@ MemoryController::issueOneInternal()
 }
 
 void
-MemoryController::completeRead(ReadEntry entry, Tick when)
+MemoryController::completeRead(std::uint32_t slot, Tick when)
 {
+    ReadEntry &entry = reads_[slot];
     switch (entry.kind) {
       case ReadKind::Data: {
         LineData logical = readLogical(entry.addr, entry.loc);
@@ -585,26 +611,28 @@ MemoryController::completeRead(ReadEntry entry, Tick when)
       case ReadKind::Metadata: {
         auto it = std::find_if(pendingFills_.begin(),
                                pendingFills_.end(),
-                               [&](const PendingMetaFill &f) {
-                                   return f.metaAddr == entry.addr &&
-                                          f.issued;
+                               [&](std::uint32_t f) {
+                                   return fills_[f].metaAddr ==
+                                              entry.addr &&
+                                          fills_[f].issued;
                                });
         if (it == pendingFills_.end())
             break; // stale fill (shouldn't happen)
+        PendingMetaFill &fill = fills_[*it];
         Addr victim = invalidAddr;
         unsigned sharers =
-            static_cast<unsigned>(it->waitingWrites.size());
+            static_cast<unsigned>(fill.waitingWrites.size());
         if (!metaCache_.insert(entry.addr, sharers, victim)) {
             // All ways got pinned while the fill was in flight; retry
             // through the spill path.
-            it->issued = false;
+            fill.issued = false;
             spillBuffer_.push_back(entry.addr);
             ++spillInsertions;
             break;
         }
         if (victim != invalidAddr)
             enqueueMetadataWrite(victim);
-        for (std::uint64_t id : it->waitingWrites) {
+        for (std::uint64_t id : fill.waitingWrites) {
             if (WriteEntry *w = findWrite(id)) {
                 ladder_assert(w->metaPending > 0,
                               "metadata fill underflow");
@@ -613,6 +641,7 @@ MemoryController::completeRead(ReadEntry entry, Tick when)
                     w->readyTick = events_.now();
             }
         }
+        fills_.release(*it);
         pendingFills_.erase(it);
         break;
       }
@@ -626,6 +655,7 @@ MemoryController::completeRead(ReadEntry entry, Tick when)
         break;
       }
     }
+    reads_.release(slot);
     requestSchedule();
 }
 
@@ -744,38 +774,38 @@ MemoryController::issueOneWrite()
 {
     // Metadata writebacks first: they unblock metadata cache fills.
     for (std::size_t i = 0; i < metaWrites_.size(); ++i) {
-        WriteEntry &entry = metaWrites_[i];
+        std::uint32_t slot = metaWrites_[i];
+        const WriteEntry &entry = writes_[slot];
         unsigned bank = bankIndex(entry.loc);
         if (bankBusyUntil_[bank] > events_.now())
             continue;
-        WriteEntry taken = std::move(entry);
         metaWrites_.erase(metaWrites_.begin() + static_cast<long>(i));
         double powerMw = 0.0;
-        double latencyNs = metadataWriteLatencyNs(taken.loc, powerMw);
+        double latencyNs = metadataWriteLatencyNs(entry.loc, powerMw);
         Tick busy = events_.now() + tRcd_ + nsToTicks(latencyNs);
         bankBusyUntil_[bank] = busy;
         lastIssueTick_ = events_.now();
-        events_.schedule(
-            busy, [this, e = std::move(taken), latencyNs, powerMw,
-                   busy]() mutable {
-                completeWrite(std::move(e), latencyNs, powerMw, busy);
-            });
+        events_.schedule(busy, [this, slot, latencyNs, powerMw]() {
+            completeWrite(slot, latencyNs, powerMw);
+        });
         return true;
     }
 
     // Data writes: oldest fully-ready entry with a free bank.
     for (std::size_t i = 0; i < writeQueue_.size(); ++i) {
-        WriteEntry &entry = writeQueue_[i];
-        if (!entry.ready())
+        std::uint32_t slot = writeQueue_[i];
+        WriteEntry &taken = writes_[slot];
+        if (!taken.ready())
             continue;
-        unsigned bank = bankIndex(entry.loc);
+        unsigned bank = bankIndex(taken.loc);
         if (bankBusyUntil_[bank] > events_.now())
             continue;
         // Same-address ordering: a write must not overtake an older
         // pending read of the same block.
         bool hazard = false;
-        for (const ReadEntry &read : readQueue_) {
-            if (read.addr == entry.addr && read.id < entry.id) {
+        for (std::uint32_t r : readQueue_) {
+            const ReadEntry &read = reads_[r];
+            if (read.addr == taken.addr && read.id < taken.id) {
                 hazard = true;
                 break;
             }
@@ -783,7 +813,6 @@ MemoryController::issueOneWrite()
         if (hazard)
             continue;
 
-        WriteEntry taken = std::move(entry);
         writeQueue_.erase(writeQueue_.begin() + static_cast<long>(i));
 
         // Flip-N-Write against the currently stored bits.
@@ -851,17 +880,22 @@ MemoryController::issueOneWrite()
         lastIssueTick_ = events_.now();
         writeQueueTimeNs.sample(
             ticksToNs(events_.now() - taken.enqueueTick));
-        inFlightWrites_[taken.addr] = taken.data;
+        auto inflight = std::find_if(
+            inFlightWrites_.begin(), inFlightWrites_.end(),
+            [&](const InFlightWrite &w) { return w.addr == taken.addr; });
+        if (inflight != inFlightWrites_.end())
+            inflight->slot = slot;
+        else
+            inFlightWrites_.push_back({taken.addr, slot});
         bool wasFull =
             writeQueue_.size() + 1 >= cfg_.writeQueueEntries;
         taken.schemeScratch = fnw.flip ? 1u : 0u;
         taken.physData = fnw.data;
-        events_.schedule(
-            busy, [this, e = std::move(taken),
-                   latencyNs = decision.latencyNs,
-                   powerMw = decision.powerMw, busy]() mutable {
-                completeWrite(std::move(e), latencyNs, powerMw, busy);
-            });
+        events_.schedule(busy, [this, slot,
+                                latencyNs = decision.latencyNs,
+                                powerMw = decision.powerMw]() {
+            completeWrite(slot, latencyNs, powerMw);
+        });
         if (wasFull)
             notifyRetry();
         return true;
@@ -870,10 +904,10 @@ MemoryController::issueOneWrite()
 }
 
 void
-MemoryController::completeWrite(WriteEntry entry, double latencyNs,
-                                double powerMw, Tick when)
+MemoryController::completeWrite(std::uint32_t slot, double latencyNs,
+                                double powerMw)
 {
-    (void)when;
+    WriteEntry &entry = writes_[slot];
     double energyPj = powerMw * latencyNs;
     if (entry.isMetadataWrite) {
         ++metadataWrites;
@@ -893,7 +927,13 @@ MemoryController::completeWrite(WriteEntry entry, double latencyNs,
         writeServiceHistNs.sample(cfg_.tRcdNs + latencyNs);
         writeLatencyOnlyNs.sample(latencyNs);
         ++pageWrites_[entry.addr / MemoryGeometry::pageBytes];
-        inFlightWrites_.erase(entry.addr);
+        auto inflight = std::find_if(
+            inFlightWrites_.begin(), inFlightWrites_.end(),
+            [&](const InFlightWrite &w) { return w.addr == entry.addr; });
+        if (inflight != inFlightWrites_.end()) {
+            *inflight = inFlightWrites_.back();
+            inFlightWrites_.pop_back();
+        }
 
         scheme_->onWriteComplete(*this, entry);
         for (Addr metaAddr : entry.metaAddrs) {
@@ -913,37 +953,7 @@ MemoryController::completeWrite(WriteEntry entry, double latencyNs,
             }
         }
     }
-    requestSchedule();
-}
-
-void
-MemoryController::injectPhysicalWrite(Addr physTo, const LineData &data)
-{
-    BlockLocation loc = map_.decode(physTo);
-    WriteEntry entry;
-    entry.id = nextId_++;
-    entry.addr = physTo;
-    entry.data = data;
-    entry.loc = loc;
-    entry.enqueueTick = events_.now();
-    entry.readyTick = entry.enqueueTick;
-    entry.isRemapCopy = true;
-    scheme_->onWriteEnqueued(*this, entry);
-    entry.physData = scheme_->encodeData(physTo, data);
-    if (entry.needsSmb) {
-        entry.smbReady = false;
-        ReadEntry smb;
-        smb.id = nextId_++;
-        smb.addr = physTo;
-        smb.kind = ReadKind::StaleBlock;
-        smb.enqueueTick = events_.now();
-        smb.loc = loc;
-        smb.writeId = entry.id;
-        internalReads_.push_back(std::move(smb));
-        ++smbReads;
-    }
-    handleMetadataNeeds(entry);
-    writeQueue_.push_back(std::move(entry));
+    writes_.release(slot);
     requestSchedule();
 }
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/page_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "ctrl/fnw.hh"
@@ -223,12 +224,9 @@ class MemoryController
     /** Register all stats into @p group. */
     void regStats(StatGroup &group);
 
-    /** Per-page write counts (lifetime analysis). */
-    const std::unordered_map<std::uint64_t, std::uint32_t> &
-    pageWriteCounts() const
-    {
-        return pageWrites_;
-    }
+    /** Per-page write counts of the written pages (lifetime analysis). */
+    std::unordered_map<std::uint64_t, std::uint32_t>
+    pageWriteCounts() const;
 
     /** Demand reads currently outstanding (for drain decisions). */
     std::size_t pendingReads() const { return readQueue_.size(); }
@@ -237,22 +235,65 @@ class MemoryController
     const WriteScheme &scheme() const { return *scheme_; }
 
   private:
+    /**
+     * Entries that never move: they live in fixed blocks of 64, and a
+     * released slot is handed out again as it is, so the vectors in a
+     * reused entry keep their capacity.
+     */
+    template <typename T>
+    class Slab
+    {
+      public:
+        std::uint32_t
+        acquire()
+        {
+            if (free_.empty()) {
+                if (size_ % blockSize == 0)
+                    blocks_.push_back(std::make_unique<T[]>(blockSize));
+                return size_++;
+            }
+            std::uint32_t slot = free_.back();
+            free_.pop_back();
+            return slot;
+        }
+        void release(std::uint32_t slot) { free_.push_back(slot); }
+        T &
+        operator[](std::uint32_t slot)
+        {
+            return blocks_[slot / blockSize][slot % blockSize];
+        }
+
+      private:
+        static constexpr std::uint32_t blockSize = 64;
+        std::vector<std::unique_ptr<T[]>> blocks_;
+        std::vector<std::uint32_t> free_;
+        std::uint32_t size_ = 0;
+    };
+
     struct ReadEntry
     {
-        std::uint64_t id;
-        Addr addr;
-        ReadKind kind;
-        Tick enqueueTick;
-        BlockLocation loc;
+        std::uint64_t id = 0;
+        Addr addr = invalidAddr;
+        ReadKind kind = ReadKind::Data;
+        Tick enqueueTick = 0;
+        BlockLocation loc{};
         std::vector<ReadCallback> callbacks; //!< demand reads
         std::uint64_t writeId = 0;           //!< SMB: dependent write
+        LineData forwarded{}; //!< payload of a read served by a write
     };
 
     struct PendingMetaFill
     {
-        Addr metaAddr;
+        Addr metaAddr = invalidAddr;
         std::vector<std::uint64_t> waitingWrites;
         bool issued = false;
+    };
+
+    /** A dispatched data write, until it completes. */
+    struct InFlightWrite
+    {
+        Addr addr;
+        std::uint32_t slot; //!< in writes_
     };
 
     EventQueue &events_;
@@ -267,12 +308,16 @@ class MemoryController
     AddressRemapper *remapper_ = nullptr;
     WriteTraceSink *traceSink_ = nullptr;
 
-    std::deque<ReadEntry> readQueue_;      //!< demand reads
-    std::deque<ReadEntry> internalReads_;  //!< metadata + SMB reads
-    std::deque<WriteEntry> writeQueue_;    //!< data writes
-    std::deque<WriteEntry> metaWrites_;    //!< metadata writebacks
-    std::deque<Addr> spillBuffer_;         //!< blocked metadata fills
-    std::vector<PendingMetaFill> pendingFills_;
+    Slab<ReadEntry> reads_;
+    Slab<WriteEntry> writes_;
+    Slab<PendingMetaFill> fills_;
+    // The queues hold slots, oldest first.
+    std::vector<std::uint32_t> readQueue_;     //!< demand reads
+    std::vector<std::uint32_t> internalReads_; //!< metadata + SMB reads
+    std::vector<std::uint32_t> writeQueue_;    //!< data writes
+    std::vector<std::uint32_t> metaWrites_;    //!< metadata writebacks
+    std::vector<std::uint32_t> pendingFills_;
+    std::deque<Addr> spillBuffer_;             //!< blocked metadata fills
 
     std::vector<Tick> bankBusyUntil_; //!< per (rank, bank) in channel
     Tick lastIssueTick_ = 0;
@@ -280,8 +325,10 @@ class MemoryController
     bool schedulePending_ = false;
     std::uint64_t nextId_ = 1;
     std::vector<std::function<void()>> retryListeners_;
-    std::unordered_map<std::uint64_t, std::uint32_t> pageWrites_;
-    std::unordered_map<Addr, LineData> inFlightWrites_;
+    /** Writes per page, by page number. */
+    PageTable<std::uint32_t> pageWrites_;
+    /** At most one entry per address (the latest dispatch). */
+    std::vector<InFlightWrite> inFlightWrites_;
 
     /** Live-telemetry handles (common/metrics), registered in the
      *  constructor; every use is gated on metrics::enabled(). */
@@ -297,13 +344,23 @@ class MemoryController
     void requestSchedule();
     void runSchedule();
     void updateMode();
-    bool issueOneRead(std::deque<ReadEntry> &queue);
+    /** A read slot for a new internal or demand read. */
+    std::uint32_t newRead(ReadKind kind, Addr addr,
+                          const BlockLocation &loc);
+    /** A write slot reset to a fresh WriteEntry. */
+    std::uint32_t newWrite();
+    /** Serve a demand read from a queued or in-flight write. */
+    void forwardRead(const LineData &data, ReadCallback callback);
+    /** Queue a data write (enqueueWrite and both inject paths). */
+    void admitWrite(Addr phys, const BlockLocation &loc,
+                    const LineData &data, bool isRemapCopy);
+    bool issueOneRead(std::vector<std::uint32_t> &queue);
     bool issueOneWrite();
     bool issueOneInternal();
     WriteEntry *findWrite(std::uint64_t id);
-    void completeRead(ReadEntry entry, Tick when);
-    void completeWrite(WriteEntry entry, double latencyNs,
-                       double powerMw, Tick when);
+    void completeRead(std::uint32_t slot, Tick when);
+    void completeWrite(std::uint32_t slot, double latencyNs,
+                       double powerMw);
     /**
      * Causal blame decomposition of one data-write dispatch (only
      * called with cfg.attribution on). @p prevBankBusy is the bank's
@@ -315,7 +372,7 @@ class MemoryController
                                        const WriteDecision &decision,
                                        Tick prevBankBusy);
     void handleMetadataNeeds(WriteEntry &entry);
-    void issueMetaFill(PendingMetaFill &fill);
+    void issueMetaFill(Addr metaAddr);
     void retrySpills();
     void notifyRetry();
     LineData readLogical(Addr physLineAddr, const BlockLocation &loc);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
+#include <type_traits>
 
 #include "common/log.hh"
 
@@ -74,20 +76,23 @@ BackingStore::setPageInitializer(PageInitializer init)
     init_ = std::move(init);
 }
 
-PageContent &
+BackingStore::PageSlot &
 BackingStore::materialize(std::uint64_t pageIndex)
 {
     ladder_assert(pageIndex < map_.totalPages(),
                   "page %llu beyond memory capacity",
                   static_cast<unsigned long long>(pageIndex));
-    std::uint64_t leaf = pageIndex >> leafBits;
-    if (leaf >= directory_.size())
-        directory_.resize(leaf + 1);
-    if (!directory_[leaf])
-        directory_[leaf] = std::make_unique<PageLeaf>();
-
-    PageContent &content = pages_.emplace_back();
-    (*directory_[leaf])[pageIndex & leafMask] = &content;
+    static_assert(std::is_trivially_destructible_v<PageContent>,
+                  "pages are never destroyed one by one");
+    if (residentPages_ % pagesPerBlock == 0)
+        pageBlocks_.push_back(std::make_unique_for_overwrite<PageBlock>());
+    PageContent &content = *::new (
+        pageBlocks_.back()->bytes +
+        residentPages_ % pagesPerBlock * sizeof(PageContent))
+        PageContent();
+    ++residentPages_;
+    PageSlot &slot = directory_[pageIndex];
+    slot.page = &content;
     if (init_)
         init_(pageIndex, content);
     // Fold the initial content into the mat counters and the bitline
@@ -114,7 +119,7 @@ BackingStore::materialize(std::uint64_t pageIndex)
     for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat)
         content.matCounts[mat] =
             static_cast<std::uint16_t>(laneSum(matLanes[mat]));
-    return content;
+    return slot;
 }
 
 std::uint64_t
@@ -218,14 +223,14 @@ BackingStore::bitlineLrsCount(const BlockLocation &loc, unsigned mat,
 bool
 BackingStore::flipped(const BlockLocation &loc)
 {
-    return (page(loc.pageIndex).flippedMask >> loc.blockInPage) & 1;
+    return (slot(loc.pageIndex).flippedMask >> loc.blockInPage) & 1;
 }
 
 void
 BackingStore::setFlipped(const BlockLocation &loc, bool value)
 {
     std::uint64_t bit = 1ull << loc.blockInPage;
-    auto &mask = page(loc.pageIndex).flippedMask;
+    auto &mask = slot(loc.pageIndex).flippedMask;
     if (value)
         mask |= bit;
     else

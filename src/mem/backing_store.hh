@@ -28,10 +28,13 @@
  *    carries or borrows: a count is at most background + matRows <=
  *    2 * MemoryGeometry::maxMatRows < 2^16, and a count is decremented
  *    only while its bit is set.
- *  - **Pages** live in a slab (a deque, one allocation per page) and
- *    are found through a two-level directory: `pageIndex >> 9` picks a
- *    lazily allocated leaf of 512 page pointers. Counter blocks are
- *    found by dense mat-group index. Both index vectors grow to the
+ *  - **Pages** live in blocks of 64 (one allocation per block, each
+ *    page constructed at its first touch, so an untouched page costs
+ *    no resident memory) and are found through a PageTable directory:
+ *    `pageIndex >> 9` picks a lazily allocated leaf of 512 page slots.
+ *    A slot holds the page pointer and the page's Flip-N-Write flags,
+ *    so a read's flip check costs no cache line beyond the lookup's.
+ *    Counter blocks are found by dense mat-group index. Both index vectors grow to the
  *    highest index touched (16 KiB each at most for the default
  *    geometry). There is no hashing on any path.
  *  - **References stay valid.** A page never moves once materialized,
@@ -49,12 +52,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/bitops.hh"
+#include "common/page_table.hh"
 #include "common/types.hh"
 #include "reram/geometry.hh"
 
@@ -67,8 +70,6 @@ struct PageContent
     std::array<LineData, MemoryGeometry::blocksPerPage> blocks{};
     /** C_j: LRS count of byte column j across the page's blocks. */
     std::array<std::uint16_t, MemoryGeometry::matsPerGroup> matCounts{};
-    /** Flip-N-Write inversion flag per block. */
-    std::uint64_t flippedMask = 0;
 };
 
 /** Sparse, content-true ReRAM state. */
@@ -157,7 +158,7 @@ class BackingStore
     }
 
     /** Number of materialized pages. */
-    std::size_t residentPages() const { return pages_.size(); }
+    std::size_t residentPages() const { return residentPages_; }
 
     const AddressMap &addressMap() const { return map_; }
     const MemoryGeometry &geometry() const { return geo_; }
@@ -166,9 +167,8 @@ class BackingStore
     /** Bitline counters of one block slot: 8 bitlines x 64 mats. */
     static constexpr unsigned slotCounters =
         MemoryGeometry::matsPerGroup * 8;
-    /** Page pointers per directory leaf. */
-    static constexpr unsigned leafBits = 9;
-    static constexpr std::uint64_t leafMask = (1u << leafBits) - 1;
+    /** Pages per storage block. */
+    static constexpr std::size_t pagesPerBlock = 64;
 
     /** Per-mat-group bitline LRS counters, [block slot][mat][bit]. */
     struct MatGroupCounters
@@ -177,7 +177,18 @@ class BackingStore
                    MemoryGeometry::blocksPerPage * slotCounters>
             counts;
     };
-    using PageLeaf = std::array<PageContent *, 1u << leafBits>;
+    /** A directory entry: the page and its per-block FNW flags. */
+    struct PageSlot
+    {
+        PageContent *page = nullptr;
+        std::uint64_t flippedMask = 0;
+    };
+    /** Raw storage for pagesPerBlock pages, constructed one by one. */
+    struct PageBlock
+    {
+        alignas(PageContent) unsigned char
+            bytes[pagesPerBlock * sizeof(PageContent)];
+    };
 
     MemoryGeometry geo_;
     AddressMap map_;
@@ -185,29 +196,34 @@ class BackingStore
     double backgroundDensity_;
     PageInitializer init_;
     /** Materialized pages, in first-touch order; never move. */
-    std::deque<PageContent> pages_;
-    /** Page directory: leaf pageIndex >> leafBits, slot in the leaf. */
-    std::vector<std::unique_ptr<PageLeaf>> directory_;
+    std::vector<std::unique_ptr<PageBlock>> pageBlocks_;
+    std::size_t residentPages_ = 0;
+    /** Page directory, by page index. */
+    PageTable<PageSlot> directory_;
     /** Bitline counters, by matGroupKey(). */
     std::vector<std::unique_ptr<MatGroupCounters>> groupCounters_;
 
-    /** The resident page, or nullptr. */
-    PageContent *
+    /** The resident page's slot, or nullptr. */
+    PageSlot *
     find(std::uint64_t pageIndex) const
     {
-        std::uint64_t leaf = pageIndex >> leafBits;
-        if (leaf >= directory_.size() || !directory_[leaf])
-            return nullptr;
-        return (*directory_[leaf])[pageIndex & leafMask];
+        PageSlot *slot = directory_.find(pageIndex);
+        return slot && slot->page ? slot : nullptr;
+    }
+    /** The page's slot, materializing the page on first touch. */
+    PageSlot &
+    slot(std::uint64_t pageIndex)
+    {
+        if (PageSlot *found = find(pageIndex))
+            return *found;
+        return materialize(pageIndex);
     }
     PageContent &
     page(std::uint64_t pageIndex)
     {
-        if (PageContent *content = find(pageIndex))
-            return *content;
-        return materialize(pageIndex);
+        return *slot(pageIndex).page;
     }
-    PageContent &materialize(std::uint64_t pageIndex);
+    PageSlot &materialize(std::uint64_t pageIndex);
     std::uint64_t matGroupKey(const BlockLocation &loc) const;
     MatGroupCounters &groupCounters(const BlockLocation &loc);
 };

@@ -8,9 +8,9 @@
 #define LADDER_MEM_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "common/bitops.hh"
+#include "common/inline_function.hh"
 #include "common/types.hh"
 
 namespace ladder
@@ -24,8 +24,12 @@ enum class ReadKind : unsigned char
     StaleBlock = 2, //!< stale-memory-block read (LADDER-Basic)
 };
 
-/** Completion callback for data reads: payload plus completion tick. */
-using ReadCallback = std::function<void(const LineData &, Tick)>;
+/**
+ * Completion callback for data reads: payload plus completion tick.
+ * Inline storage fits a capture of `this` plus a few scalars, or one
+ * LineData plus a pointer.
+ */
+using ReadCallback = InlineFunction<void(const LineData &, Tick), 80>;
 
 } // namespace ladder
 

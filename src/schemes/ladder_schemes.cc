@@ -136,12 +136,12 @@ std::array<std::uint8_t, 64> &
 LadderEstScheme::pageShadow(MemoryController &ctrl,
                             const BlockLocation &loc)
 {
-    auto it = shadow_.find(loc.pageIndex);
-    if (it != shadow_.end())
-        return it->second;
+    auto [line, fresh] = shadow_.lineOf(loc.pageIndex);
+    auto &packed = *line;
+    if (!fresh)
+        return packed;
     // First touch: derive the packed counters from the resident
     // content, as if the metadata had been maintained since boot.
-    auto &packed = shadow_[loc.pageIndex];
     BlockLocation block = loc;
     for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b) {
         block.blockInPage = b;
@@ -203,8 +203,8 @@ LadderEstScheme::crashRecover()
     // Paper §7: conservatively overwrite all (possibly stale)
     // metadata with maximum counter values; later writes gradually
     // re-tighten them.
-    for (auto &entry : shadow_)
-        entry.second.fill(0xff);
+    for (std::uint32_t i = 0; i < shadow_.count; ++i)
+        shadow_.lines[i].fill(0xff);
 }
 
 // --------------------------------------------------------------------
@@ -222,8 +222,8 @@ void
 LadderHybridScheme::crashRecover()
 {
     LadderEstScheme::crashRecover();
-    for (auto &entry : lowShadow_)
-        entry.second.fill(0x03);
+    for (std::uint32_t i = 0; i < lowShadow_.count; ++i)
+        lowShadow_.lines[i].fill(0x03);
 }
 
 bool
@@ -238,10 +238,10 @@ std::array<std::uint8_t, 64> &
 LadderHybridScheme::lowPageShadow(MemoryController &ctrl,
                                   const BlockLocation &loc)
 {
-    auto it = lowShadow_.find(loc.pageIndex);
-    if (it != lowShadow_.end())
-        return it->second;
-    auto &packed = lowShadow_[loc.pageIndex];
+    auto [line, fresh] = lowShadow_.lineOf(loc.pageIndex);
+    auto &packed = *line;
+    if (!fresh)
+        return packed;
     BlockLocation block = loc;
     for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b) {
         block.blockInPage = b;

@@ -19,9 +19,10 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/page_table.hh"
 #include "common/stats.hh"
 #include "ctrl/controller.hh"
 #include "ctrl/scheme.hh"
@@ -101,8 +102,28 @@ class LadderEstScheme : public WriteScheme
     virtual void crashRecover();
 
   protected:
-    using ShadowMap =
-        std::unordered_map<std::uint64_t, std::array<std::uint8_t, 64>>;
+    /**
+     * Shadow metadata lines of the written pages, stored densely in
+     * first-write order (a PageTable indexed by that order).
+     */
+    struct ShadowMap
+    {
+        /** 1 + the page's index into lines; 0 while unwritten. */
+        PageTable<std::uint32_t> index;
+        PageTable<std::array<std::uint8_t, 64>> lines;
+        std::uint32_t count = 0;
+
+        /** The page's line, and whether it was just created (zeroed). */
+        std::pair<std::array<std::uint8_t, 64> *, bool>
+        lineOf(std::uint64_t pageIndex)
+        {
+            std::uint32_t &slot = index[pageIndex];
+            if (slot)
+                return {&lines[slot - 1], false};
+            slot = ++count;
+            return {&lines[slot - 1], true};
+        }
+    };
 
     std::shared_ptr<MetadataLayout> layout_;
     bool shifting_;

@@ -138,6 +138,7 @@ System::System(const SystemConfig &config) : config_(config)
                           config_.workloads.size(),
                   "traceFiles must match the workload count");
     Addr nextBase = 0;
+    std::vector<std::unique_ptr<TraceSource>> sources;
     for (unsigned c = 0; c < config_.workloads.size(); ++c) {
         WorkloadInstance inst = makeWorkloadInstance(
             config_.workloads[c], config_.seed * 16 + c,
@@ -152,10 +153,16 @@ System::System(const SystemConfig &config) : config_(config)
             {nextBase, footprint,
              std::make_shared<DataPatternModel>(inst.firstTouch),
              inst.seed});
-        cores_.push_back(std::make_unique<Core>(
-            events_, config_.core, c, std::move(inst.source),
-            *hierarchy_, route, nextBase));
+        sources.push_back(std::move(inst.source));
         nextBase += footprint;
+    }
+    // One helper thread generates every core's records ahead; it
+    // starts on the first record a core asks for.
+    runAhead_ = std::make_unique<TraceRunAhead>(std::move(sources));
+    for (unsigned c = 0; c < runAhead_->lanes(); ++c) {
+        cores_.push_back(std::make_unique<Core>(
+            events_, config_.core, c, runAhead_->lane(c), *hierarchy_,
+            route, (*regions)[c].base));
     }
 
     // First-touch content is generated in the workload's pattern and
@@ -244,11 +251,8 @@ System::captureEpoch(Tick when)
     EpochSnapshot snap;
     snap.tick = when;
     snap.values.reserve(epochNames_.size());
-    for (const auto &group : statGroups_) {
-        group.visit([&](const std::string &, double v) {
-            snap.values.push_back(v);
-        });
-    }
+    for (const auto &group : statGroups_)
+        group.appendValues(snap.values);
     ladder_assert(snap.values.size() == epochNames_.size(),
                   "epoch snapshot arity changed mid-run");
     epochs_.push_back(std::move(snap));

@@ -26,6 +26,7 @@
 #include "ctrl/controller.hh"
 #include "mem/backing_store.hh"
 #include "schemes/factory.hh"
+#include "trace/run_ahead.hh"
 #include "trace/workload_frontend.hh"
 #include "trace/workloads.hh"
 
@@ -177,6 +178,8 @@ class System
     std::shared_ptr<WriteScheme> scheme_;
     std::vector<std::unique_ptr<MemoryController>> controllers_;
     std::unique_ptr<CacheHierarchy> hierarchy_;
+    /** Generates the cores' records ahead; outlives cores_. */
+    std::unique_ptr<TraceRunAhead> runAhead_;
     std::vector<std::unique_ptr<Core>> cores_;
     std::vector<StatGroup> statGroups_;
     AddressRemapper *remapper_ = nullptr;

@@ -223,14 +223,16 @@ class NaiveStore
     flipped(Addr addr)
     {
         BlockLocation loc = map_.decode(addr);
-        return (page(loc.pageIndex).flippedMask >> loc.blockInPage) & 1;
+        page(loc.pageIndex);
+        return (flipped_[loc.pageIndex] >> loc.blockInPage) & 1;
     }
 
     void
     setFlipped(Addr addr, bool value)
     {
         BlockLocation loc = map_.decode(addr);
-        auto &mask = page(loc.pageIndex).flippedMask;
+        page(loc.pageIndex);
+        auto &mask = flipped_[loc.pageIndex];
         mask = (mask & ~(1ull << loc.blockInPage)) |
                (static_cast<std::uint64_t>(value) << loc.blockInPage);
     }
@@ -276,6 +278,8 @@ class NaiveStore
     BackingStore::PageInitializer init_;
     std::unordered_map<std::uint64_t, PageContent> pages_;
     std::unordered_map<std::uint64_t, std::vector<std::uint16_t>> counters_;
+    /** Per-page FNW flags, one bit per block. */
+    std::unordered_map<std::uint64_t, std::uint64_t> flipped_;
 
     static std::size_t
     column(const BlockLocation &loc, unsigned mat, unsigned bit)

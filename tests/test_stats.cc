@@ -193,6 +193,32 @@ TEST(StatGroup, VisitFlattensLeaves)
     EXPECT_DOUBLE_EQ(seen.at("g.a.count"), 2.0);
 }
 
+TEST(StatGroup, AppendValuesMatchesVisitOrder)
+{
+    StatGroup group("g");
+    StatScalar s;
+    s += 3;
+    StatAverage a;
+    a.sample(2.0);
+    a.sample(5.0);
+    group.regScalar("s", &s);
+    group.regAverage("a", &a);
+    StatGroup child("c");
+    StatScalar cs;
+    cs += 7;
+    child.regScalar("cs", &cs);
+    group.addChild(&child);
+    std::vector<double> visited;
+    group.visit([&](const std::string &, double v) {
+        visited.push_back(v);
+    });
+    std::vector<double> appended{-1.0};
+    group.appendValues(appended);
+    appended.erase(appended.begin()); // appends, keeping what was there
+    EXPECT_EQ(appended, visited);
+    EXPECT_EQ(appended, (std::vector<double>{3.0, 7.0, 2.0, 7.0}));
+}
+
 TEST(StatGroup, ResetAllRecurses)
 {
     StatGroup group("g");
