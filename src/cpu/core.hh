@@ -83,7 +83,6 @@ class Core
     }
 
     unsigned id() const { return id_; }
-    const TraceSource &trace() const { return *trace_; }
 
     /**
      * Controller queue space freed: resume if the core was blocked on

@@ -34,9 +34,9 @@
  *    `pageIndex >> 9` picks a lazily allocated leaf of 512 page slots.
  *    A slot holds the page pointer and the page's Flip-N-Write flags,
  *    so a read's flip check costs no cache line beyond the lookup's.
- *    Counter blocks are found by dense mat-group index. Both index vectors grow to the
- *    highest index touched (16 KiB each at most for the default
- *    geometry). There is no hashing on any path.
+ *    Counter blocks are found by dense mat-group index. Both index
+ *    vectors grow to the highest index touched (16 KiB each at most
+ *    for the default geometry). There is no hashing on any path.
  *  - **References stay valid.** A page never moves once materialized,
  *    so a `LineData &` or `PageContent &` handed out stays valid for
  *    the store's lifetime, across later first touches.

@@ -79,11 +79,24 @@ TraceRunAhead::take(Lane &lane)
         std::rethrow_exception(error_);
     lane.current = (lane.current + 1) % slots;
     lane.cursor = 0;
+    // The worker sleeps only while every lane is full.
     bool wasFull = lane.ready-- == maxReadyChunks;
-    if (wasFull && workerIdle_) {
+    if (wasFull) {
         lock.unlock();
         workerWake_.notify_one();
     }
+}
+
+TraceRunAhead::Lane *
+TraceRunAhead::emptiestLane()
+{
+    Lane *target = nullptr;
+    for (Lane &lane : lanes_) {
+        if (lane.ready < maxReadyChunks &&
+            (!target || lane.ready < target->ready))
+            target = &lane;
+    }
+    return target;
 }
 
 void
@@ -95,20 +108,14 @@ TraceRunAhead::work()
     prof::setCurrentThreadName("ladder-runahead");
     std::unique_lock<std::mutex> lock(mutex_);
     try {
-        while (!stop_) {
-            // The lane with the fewest ready chunks, if any has room.
+        while (true) {
             Lane *target = nullptr;
-            for (Lane &lane : lanes_) {
-                if (lane.ready < maxReadyChunks &&
-                    (!target || lane.ready < target->ready))
-                    target = &lane;
-            }
-            if (!target) {
-                workerIdle_ = true;
-                workerWake_.wait(lock);
-                workerIdle_ = false;
-                continue;
-            }
+            workerWake_.wait(lock, [&]() {
+                target = emptiestLane();
+                return stop_ || target;
+            });
+            if (stop_)
+                return;
             // Only the worker fills, and the consumer never touches a
             // chunk that is not ready, so this one is ours unlocked.
             TraceRecord *out = target->chunk(

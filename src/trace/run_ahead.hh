@@ -95,6 +95,8 @@ class TraceRunAhead
 
     /** Move @p lane to its next ready chunk, waiting for one. */
     void take(Lane &lane);
+    /** The lane with the fewest ready chunks, if any has room. */
+    Lane *emptiestLane();
     void work();
 
     std::vector<Lane> lanes_;
@@ -102,7 +104,6 @@ class TraceRunAhead
     std::condition_variable workerWake_;   //!< a lane has room, or stop
     std::condition_variable consumerWake_; //!< a chunk is ready, or failed
     bool stop_ = false;
-    bool workerIdle_ = false;
     std::exception_ptr error_;
     std::thread worker_; //!< last: it uses every member above
 };

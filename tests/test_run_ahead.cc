@@ -5,8 +5,10 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,7 +43,11 @@ class CountingSource : public TraceSource
         return rec;
     }
 
-    std::uint64_t footprintBytes() const override { return 4096 * (lane_ + 1); }
+    std::uint64_t
+    footprintBytes() const override
+    {
+        return 4096 * (lane_ + 1);
+    }
 
   private:
     unsigned lane_;
@@ -183,36 +189,54 @@ TEST(TraceRunAhead, SourceExceptionReachesTheConsumer)
 }
 
 #if defined(__linux__)
-/** Threads of this process. */
+/** Threads of this process named ladder-runahead. */
 std::size_t
-threadCount()
+helperThreads()
 {
     std::size_t n = 0;
-    for (const auto &entry :
+    for (const auto &task :
          std::filesystem::directory_iterator("/proc/self/task")) {
-        (void)entry;
-        ++n;
+        std::ifstream comm(task.path() / "comm");
+        std::string name;
+        if (std::getline(comm, name) && name == "ladder-runahead")
+            ++n;
     }
     return n;
+}
+
+/**
+ * Whether helperThreads() reaches @p count within a second: a joined
+ * thread can stay listed for a moment after join() returns.
+ */
+bool
+settlesAt(std::size_t count)
+{
+    for (int i = 0; i < 1000; ++i) {
+        if (helperThreads() == count)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
 }
 
 TEST(TraceRunAhead, OneHelperThreadForAnyLaneCount)
 {
     for (unsigned lanes : {1u, 4u, 16u}) {
+        ASSERT_TRUE(settlesAt(0));
         std::atomic<std::uint64_t> generated{0};
         std::vector<std::unique_ptr<TraceSource>> sources;
         for (unsigned c = 0; c < lanes; ++c)
             sources.push_back(
                 std::make_unique<CountingSource>(c, generated));
-        const std::size_t before = threadCount();
         TraceRunAhead runAhead(std::move(sources));
         std::vector<std::unique_ptr<TraceSource>> views;
         for (unsigned c = 0; c < lanes; ++c)
             views.push_back(runAhead.lane(c));
-        EXPECT_EQ(threadCount(), before);
+        EXPECT_EQ(helperThreads(), 0u);
         for (auto &view : views)
             view->next();
-        EXPECT_EQ(threadCount(), before + 1) << lanes << " lanes";
+        EXPECT_TRUE(settlesAt(1)) << lanes << " lanes";
+        EXPECT_EQ(helperThreads(), 1u) << lanes << " lanes";
     }
 }
 #endif
