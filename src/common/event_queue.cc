@@ -20,15 +20,8 @@ EventQueue::schedule(Tick when, EventCallback callback, int priority)
                   "scheduling event in the past (%llu < %llu)",
                   static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(now_));
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        slots_[slot] = std::move(callback);
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.push_back(std::move(callback));
-    }
+    const std::uint32_t slot = slots_.acquire();
+    slots_[slot] = std::move(callback);
     const Key key{when, nextSeq_++, priority, slot};
 
     // Sift the hole up from the new leaf.
@@ -74,9 +67,9 @@ EventQueue::runTop()
     }
 
     // Move the callback out first: it may schedule events, which can
-    // reuse its slot or grow the slab.
+    // reuse its slot.
     EventCallback callback = std::move(slots_[top.slot]);
-    freeSlots_.push_back(top.slot);
+    slots_.release(top.slot);
     now_ = top.when;
     ++executed_;
     callback();

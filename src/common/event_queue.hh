@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "inline_function.hh"
+#include "slab.hh"
 #include "types.hh"
 
 namespace ladder
@@ -28,7 +29,7 @@ using EventCallback = InlineFunction<void(), 64>;
  *
  * Events at the same tick execute in (priority, insertion) order so that
  * behaviour is fully deterministic. The order lives in a 4-ary min-heap
- * of 24-byte keys; each key names a slot of a slab that holds the
+ * of 24-byte keys; each key names the Slab slot that holds the
  * callback, and freed slots are reused, so a steady-state run schedules
  * and executes events without allocating.
  */
@@ -105,8 +106,7 @@ class EventQueue
     }
 
     std::vector<Key> heap_;
-    std::vector<EventCallback> slots_;
-    std::vector<std::uint32_t> freeSlots_;
+    Slab<EventCallback> slots_;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t executed_ = 0;

@@ -159,12 +159,12 @@ runMain(int argc, char **argv, int (*body)(int, char **))
     try {
         return body(argc, argv);
     } catch (const FatalError &) {
-        return 1; // logged by fatal()
+        return exitUserError; // logged by fatal()
     } catch (const PanicError &) {
-        return 1; // logged by panic()
+        return exitInternalError; // logged by panic()
     } catch (const std::exception &e) {
-        logMessage(LogLevel::Fatal, e.what());
-        return 1;
+        logMessage(LogLevel::Panic, e.what());
+        return exitInternalError;
     }
 }
 

@@ -6,7 +6,8 @@
  *            throws PanicError.
  * fatal()  - the user asked for something unsupported/inconsistent;
  *            throws FatalError. A program whose main runs through
- *            runMain() exits with status 1 on either.
+ *            runMain() exits with status 1 on fatal() and 2 on
+ *            panic() or any other escaping exception.
  * warn()   - something is suspicious but simulation can continue.
  * warn_once() - warn, but only the first time this call site fires
  *               (parallel sweeps would otherwise repeat identical
@@ -96,12 +97,19 @@ class FatalError : public std::runtime_error
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 
+/** runMain's status when fatal() rejected the user's input. */
+constexpr int exitUserError = 1;
+/** runMain's status on panic() or any other escaping exception. */
+constexpr int exitInternalError = 2;
+
 /**
- * Run a command-line program's body and return its exit status. An
- * exception that escapes @p body ends the program with status 1
- * instead of std::terminate's abort, so a script can tell a bad
- * argument from a crash. fatal() and panic() logged their message
- * already; any other exception's message is logged here.
+ * Run a command-line program's body and return its exit status. A
+ * FatalError (a bad argument or configuration) ends the program with
+ * exitUserError; a PanicError or any other exception is a simulator
+ * bug and ends it with exitInternalError. Either way std::terminate's
+ * abort is avoided, so a script can tell the two apart. fatal() and
+ * panic() logged their message already; any other exception's message
+ * is logged here.
  */
 int runMain(int argc, char **argv, int (*body)(int, char **));
 

@@ -213,32 +213,36 @@ StatGroup::dumpJson(JsonWriter &json) const
     json.endObject();
 }
 
+template <typename Fn>
+void
+StatGroup::walk(Fn &&fn) const
+{
+    for (const auto &entry : scalars_)
+        fn(*this, entry.name, "", entry.stat->value());
+    for (const auto &entry : averages_) {
+        fn(*this, entry.name, ".sum", entry.stat->sum());
+        fn(*this, entry.name, ".count",
+           static_cast<double>(entry.stat->count()));
+    }
+    for (const auto *child : children_)
+        child->walk(fn);
+}
+
 void
 StatGroup::visit(
     const std::function<void(const std::string &, double)> &fn) const
 {
-    for (const auto &entry : scalars_)
-        fn(name_ + "." + entry.name, entry.stat->value());
-    for (const auto &entry : averages_) {
-        fn(name_ + "." + entry.name + ".sum", entry.stat->sum());
-        fn(name_ + "." + entry.name + ".count",
-           static_cast<double>(entry.stat->count()));
-    }
-    for (const auto *child : children_)
-        child->visit(fn);
+    walk([&fn](const StatGroup &group, const std::string &name,
+               const char *suffix, double value) {
+        fn(group.name_ + "." + name + suffix, value);
+    });
 }
 
 void
 StatGroup::appendValues(std::vector<double> &out) const
 {
-    for (const auto &entry : scalars_)
-        out.push_back(entry.stat->value());
-    for (const auto &entry : averages_) {
-        out.push_back(entry.stat->sum());
-        out.push_back(static_cast<double>(entry.stat->count()));
-    }
-    for (const auto *child : children_)
-        child->appendValues(out);
+    walk([&out](const StatGroup &, const std::string &, const char *,
+                double value) { out.push_back(value); });
 }
 
 void

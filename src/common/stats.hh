@@ -165,6 +165,13 @@ class StatGroup
         std::string desc;
     };
 
+    /**
+     * The one traversal behind visit() and appendValues(): calls
+     * fn(group, statName, suffix, value) for each scalar, then each
+     * average's ".sum" and ".count", then recurses into the children.
+     */
+    template <typename Fn> void walk(Fn &&fn) const;
+
     std::string name_;
     std::vector<ScalarEntry> scalars_;
     std::vector<AverageEntry> averages_;

@@ -26,6 +26,7 @@
 
 #include "common/event_queue.hh"
 #include "common/page_table.hh"
+#include "common/slab.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "ctrl/fnw.hh"
@@ -235,41 +236,6 @@ class MemoryController
     const WriteScheme &scheme() const { return *scheme_; }
 
   private:
-    /**
-     * Entries that never move: they live in fixed blocks of 64, and a
-     * released slot is handed out again as it is, so the vectors in a
-     * reused entry keep their capacity.
-     */
-    template <typename T>
-    class Slab
-    {
-      public:
-        std::uint32_t
-        acquire()
-        {
-            if (free_.empty()) {
-                if (size_ % blockSize == 0)
-                    blocks_.push_back(std::make_unique<T[]>(blockSize));
-                return size_++;
-            }
-            std::uint32_t slot = free_.back();
-            free_.pop_back();
-            return slot;
-        }
-        void release(std::uint32_t slot) { free_.push_back(slot); }
-        T &
-        operator[](std::uint32_t slot)
-        {
-            return blocks_[slot / blockSize][slot % blockSize];
-        }
-
-      private:
-        static constexpr std::uint32_t blockSize = 64;
-        std::vector<std::unique_ptr<T[]>> blocks_;
-        std::vector<std::uint32_t> free_;
-        std::uint32_t size_ = 0;
-    };
-
     struct ReadEntry
     {
         std::uint64_t id = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <new>
-#include <type_traits>
 
 #include "common/log.hh"
 
@@ -82,15 +80,8 @@ BackingStore::materialize(std::uint64_t pageIndex)
     ladder_assert(pageIndex < map_.totalPages(),
                   "page %llu beyond memory capacity",
                   static_cast<unsigned long long>(pageIndex));
-    static_assert(std::is_trivially_destructible_v<PageContent>,
-                  "pages are never destroyed one by one");
-    if (residentPages_ % pagesPerBlock == 0)
-        pageBlocks_.push_back(std::make_unique_for_overwrite<PageBlock>());
-    PageContent &content = *::new (
-        pageBlocks_.back()->bytes +
-        residentPages_ % pagesPerBlock * sizeof(PageContent))
-        PageContent();
-    ++residentPages_;
+    // Pages are never released, so each one is a fresh, zeroed slot.
+    PageContent &content = pages_[pages_.acquire()];
     PageSlot &slot = directory_[pageIndex];
     slot.page = &content;
     if (init_)

@@ -58,6 +58,7 @@
 
 #include "common/bitops.hh"
 #include "common/page_table.hh"
+#include "common/slab.hh"
 #include "common/types.hh"
 #include "reram/geometry.hh"
 
@@ -158,7 +159,7 @@ class BackingStore
     }
 
     /** Number of materialized pages. */
-    std::size_t residentPages() const { return residentPages_; }
+    std::size_t residentPages() const { return pages_.size(); }
 
     const AddressMap &addressMap() const { return map_; }
     const MemoryGeometry &geometry() const { return geo_; }
@@ -183,12 +184,6 @@ class BackingStore
         PageContent *page = nullptr;
         std::uint64_t flippedMask = 0;
     };
-    /** Raw storage for pagesPerBlock pages, constructed one by one. */
-    struct PageBlock
-    {
-        alignas(PageContent) unsigned char
-            bytes[pagesPerBlock * sizeof(PageContent)];
-    };
 
     MemoryGeometry geo_;
     AddressMap map_;
@@ -196,8 +191,7 @@ class BackingStore
     double backgroundDensity_;
     PageInitializer init_;
     /** Materialized pages, in first-touch order; never move. */
-    std::vector<std::unique_ptr<PageBlock>> pageBlocks_;
-    std::size_t residentPages_ = 0;
+    Slab<PageContent, pagesPerBlock> pages_;
     /** Page directory, by page index. */
     PageTable<PageSlot> directory_;
     /** Bitline counters, by matGroupKey(). */

@@ -136,8 +136,8 @@ std::array<std::uint8_t, 64> &
 LadderEstScheme::pageShadow(MemoryController &ctrl,
                             const BlockLocation &loc)
 {
-    auto [line, fresh] = shadow_.lineOf(loc.pageIndex);
-    auto &packed = *line;
+    bool fresh;
+    auto &packed = shadow_.lineOf(loc.pageIndex, fresh);
     if (!fresh)
         return packed;
     // First touch: derive the packed counters from the resident
@@ -203,8 +203,7 @@ LadderEstScheme::crashRecover()
     // Paper §7: conservatively overwrite all (possibly stale)
     // metadata with maximum counter values; later writes gradually
     // re-tighten them.
-    for (std::uint32_t i = 0; i < shadow_.count; ++i)
-        shadow_.lines[i].fill(0xff);
+    shadow_.fillAll(0xff);
 }
 
 // --------------------------------------------------------------------
@@ -222,8 +221,7 @@ void
 LadderHybridScheme::crashRecover()
 {
     LadderEstScheme::crashRecover();
-    for (std::uint32_t i = 0; i < lowShadow_.count; ++i)
-        lowShadow_.lines[i].fill(0x03);
+    lowShadow_.fillAll(0x03);
 }
 
 bool
@@ -238,8 +236,8 @@ std::array<std::uint8_t, 64> &
 LadderHybridScheme::lowPageShadow(MemoryController &ctrl,
                                   const BlockLocation &loc)
 {
-    auto [line, fresh] = lowShadow_.lineOf(loc.pageIndex);
-    auto &packed = *line;
+    bool fresh;
+    auto &packed = lowShadow_.lineOf(loc.pageIndex, fresh);
     if (!fresh)
         return packed;
     BlockLocation block = loc;

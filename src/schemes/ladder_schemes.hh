@@ -19,10 +19,10 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/page_table.hh"
+#include "common/slab.hh"
 #include "common/stats.hh"
 #include "ctrl/controller.hh"
 #include "ctrl/scheme.hh"
@@ -103,25 +103,33 @@ class LadderEstScheme : public WriteScheme
 
   protected:
     /**
-     * Shadow metadata lines of the written pages, stored densely in
-     * first-write order (a PageTable indexed by that order).
+     * Shadow metadata lines of the written pages, kept densely in
+     * first-write order, so their memory follows the written pages
+     * rather than the page-index range those span.
      */
     struct ShadowMap
     {
-        /** 1 + the page's index into lines; 0 while unwritten. */
-        PageTable<std::uint32_t> index;
-        PageTable<std::array<std::uint8_t, 64>> lines;
-        std::uint32_t count = 0;
+        /** 1 + the page's slot in lines; 0 while the page is unwritten. */
+        PageTable<std::uint32_t> slotOf;
+        Slab<std::array<std::uint8_t, 64>, 512> lines;
 
-        /** The page's line, and whether it was just created (zeroed). */
-        std::pair<std::array<std::uint8_t, 64> *, bool>
-        lineOf(std::uint64_t pageIndex)
+        /** The page's line; @p fresh tells it was just created (zeroed). */
+        std::array<std::uint8_t, 64> &
+        lineOf(std::uint64_t pageIndex, bool &fresh)
         {
-            std::uint32_t &slot = index[pageIndex];
-            if (slot)
-                return {&lines[slot - 1], false};
-            slot = ++count;
-            return {&lines[slot - 1], true};
+            std::uint32_t &slot = slotOf[pageIndex];
+            fresh = slot == 0;
+            if (fresh)
+                slot = lines.acquire() + 1;
+            return lines[slot - 1];
+        }
+
+        /** Overwrite every written page's line with @p value. */
+        void
+        fillAll(std::uint8_t value)
+        {
+            for (std::uint32_t slot = 0; slot < lines.size(); ++slot)
+                lines[slot].fill(value);
         }
     };
 

@@ -1,6 +1,6 @@
 # A command-line tool given an unknown config key must exit with status
-# exactly 1 (a user error), not abort like a crash (134). Run through
-# ctest:
+# exactly 1 (a user error): not 2, which runMain gives a panic or any
+# other internal error, nor an abort (134). Run through ctest:
 #
 #   cmake -DPROGRAMS="<exe>;<exe>..." -DCONFIG=<ci-quick.json> \
 #         -P cli_exit_status.cmake

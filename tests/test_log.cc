@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,4 +159,30 @@ TEST(LogSink, ReplacementRacesConcurrentLoggersLosslessly)
     setLogSink(nullptr);
     EXPECT_EQ(countA.load() + countB.load(),
               static_cast<std::uint64_t>(loggers) * perLogger);
+}
+
+TEST(RunMain, SeparatesUserErrorsFromInternalErrors)
+{
+    CaptureSink sink;
+    auto status = [](int (*body)(int, char **)) {
+        return runMain(0, nullptr, body);
+    };
+    EXPECT_EQ(status([](int, char **) { return 0; }), 0);
+    EXPECT_EQ(status([](int, char **) { return 3; }), 3);
+    EXPECT_EQ(status([](int, char **) -> int { fatal("bad key"); }),
+              exitUserError);
+    EXPECT_EQ(status([](int, char **) -> int { panic("broken"); }),
+              exitInternalError);
+    EXPECT_EQ(status([](int, char **) -> int {
+                  ladder_assert(false, "invariant");
+                  return 0;
+              }),
+              exitInternalError);
+    EXPECT_EQ(status([](int, char **) -> int {
+                  throw std::out_of_range("index");
+              }),
+              exitInternalError);
+    ASSERT_FALSE(sink.entries().empty());
+    EXPECT_EQ(sink.entries().back().first, LogLevel::Panic);
+    EXPECT_EQ(sink.entries().back().second, "index");
 }
